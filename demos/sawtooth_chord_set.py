@@ -4,8 +4,9 @@ whole number.
 The target set keeps the interval [0, 0.9], shifted copies starting at
 1.1, 2.2 and 3.3, and the single point 4.4.  The walkthrough validates
 admissibility, builds the tent function whose horizontal chord set is
-exactly this set, spot checks a few chord queries, then scans every
-length on a fine grid and renders the function to SVG.
+exactly this set, spot checks a few chord queries, computes the chord
+set back exactly, writes its membership on a fine grid and renders the
+function to SVG.
 
 Artifacts land in demo_output/ next to the package root.
 """
@@ -14,6 +15,7 @@ from pathlib import Path
 
 from chordlab import (
     build_hopf,
+    chord_set,
     chord_set_scan,
     function_to_obj,
     has_horizontal_chord,
@@ -44,12 +46,12 @@ def main() -> None:
             print(f"  length {s:g}: no chord")
     print()
 
+    print("exact chord set:")
+    for iv in chord_set(f).intervals:
+        print(f"  [{iv.lo:.6f}, {iv.hi:.6f}]")
     scan = chord_set_scan(f, resolution=0.01)
     n_in = int(scan.membership.sum())
     print(f"scanned {scan.lengths.size} lengths, {n_in} in the chord set")
-    print(f"refined {len(scan.refined_boundaries)} boundary brackets:")
-    for lo, hi in scan.refined_boundaries:
-        print(f"  [{lo:.6f}, {hi:.6f}]")
     csv_path, boundary_path = write_chord_scan(scan, out / "sawtooth_scan.csv")
     print(f"wrote {csv_path}")
     print(f"wrote {boundary_path}")

@@ -1,8 +1,8 @@
 """Command line interface.
 
 Exit codes: 0 success (or positive finding), 3 negative result (failed
-validation, no window found), 1 input or file errors.  argparse keeps
-its usual exit 2 for malformed invocations.
+validation, no window found), 1 input, file or computation errors.
+argparse keeps its usual exit 2 for malformed invocations.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .builders import build_hopf, smooth_chord_function
-from .intervals import validate_chord_spec
+from .intervals import DEFAULT_TOL, validate_chord_spec
 from .io import (
     function_to_obj,
     interval_set_to_obj,
@@ -27,7 +27,7 @@ from .io import (
     svg_for_curves,
     write_chord_scan,
 )
-from .oracle import chord_set_scan
+from .oracle import chord_set, chord_set_scan
 from .race import build_adversarial_profile, exists_average_split, find_average_split
 
 _PHI_KINDS = {"triangle": "triangle_wave", "sin2": "sin_squared"}
@@ -96,11 +96,12 @@ def _cmd_construct(args) -> int:
 def _cmd_chords(args) -> int:
     f = parse_function(load_json(args.function))
     resolution = args.resolution if args.resolution is not None else f.width / 500.0
-    scan = chord_set_scan(f, resolution, args.tolerance)
+    scan = chord_set_scan(f, resolution)
     main_path, bpath = write_chord_scan(scan, args.output)
     member = int(scan.membership.sum())
+    exact = ", ".join(f"[{iv.lo:.6g}, {iv.hi:.6g}]" for iv in chord_set(f).intervals)
     print(
-        f"scanned {scan.lengths.size} lengths, {member} in the chord set; "
+        f"scanned {scan.lengths.size} lengths, {member} in the chord set {exact}; "
         f"wrote {main_path} and {bpath}"
     )
     return 0
@@ -157,8 +158,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--tolerance",
         type=float,
-        default=1e-9,
-        help="numerical tolerance for zero and membership tests (default 1e-9)",
+        default=DEFAULT_TOL,
+        help="numerical tolerance for zero and membership tests (default %(default)g)",
     )
     parser = argparse.ArgumentParser(
         prog="chordlab",
@@ -182,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None, help="output JSON path (default stdout)")
     p.set_defaults(handler=_cmd_construct)
 
-    p = sub.add_parser("chords", parents=[common], help="scan which chord lengths a function has")
+    p = sub.add_parser("chords", help="compute which chord lengths a function has")
     p.add_argument("function", help="JSON file with 'breakpoints' or 'samples'")
     p.add_argument(
         "--resolution",
@@ -220,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=float, required=True, help="window distance")
     p.set_defaults(handler=_cmd_race_exists_split)
 
-    p = sub.add_parser("plot", parents=[common], help="render a function or profile to SVG")
+    p = sub.add_parser("plot", help="render a function or profile to SVG")
     p.add_argument("input", help="JSON file with a function or profile")
     p.add_argument("--output", required=True, help="SVG output path")
     p.add_argument(
@@ -238,7 +239,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,13 +1,13 @@
-"""Exact chord queries for piecewise linear functions.
+"""Exact chord queries and chord sets for piecewise linear functions.
 
 For piecewise linear f the shifted difference g(x) = f(x + s) - f(x) is
 again piecewise linear, so "does f have a horizontal chord of length s"
 reduces to checking g's vertex values and sign changes.  No sampling is
 involved; answers are exact up to the tolerance used for "equals zero".
 
-The module also provides a scanning routine that classifies a whole
-range of chord lengths, a complement-additivity verifier built on it,
-and the sign-change lower bound on guaranteed chord lengths.
+The whole chord set is a finite union of intervals computed exactly,
+cell by cell; a grid scan and an additivity check are views of it.  The
+module also gives the sign-change lower bound on guaranteed chord lengths.
 """
 
 from __future__ import annotations
@@ -16,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .intervals import DEFAULT_TOL, ClosedIntervalSet, is_additive
 from .piecewise import PiecewiseLinearFunction
-
-DEFAULT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -70,6 +69,54 @@ def has_horizontal_chord(
     return ChordQueryResult(True, s, witness)
 
 
+_BLOCK_CELLS = 1 << 16  # cells per row block; bounds peak memory
+
+
+def _union(lo: np.ndarray, hi: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Union of the intervals [lo, hi], closing gaps up to eps wide.  With
+    starts and ends sorted separately, the k-th start opens a component
+    exactly when it lies past the (k-1)-th end."""
+    lo, hi = np.sort(lo), np.sort(hi)
+    new = np.flatnonzero(lo[1:] > hi[:-1] + eps) + 1
+    return lo[np.r_[0, new]], hi[np.r_[new - 1, lo.size - 1]]
+
+
+def chord_set(f: PiecewiseLinearFunction) -> ClosedIntervalSet:
+    """The horizontal chord set {y - x : x <= y, f(x) = f(y)} of f, exactly.
+
+    On a cell [x_i, x_i+1] x [x_j, x_j+1], i <= j, the pairs with f(x) =
+    f(y) run over the common value v of the two pieces, and s = y - x is
+    linear in v, with extremes at the ends of the overlap of their value
+    ranges (a flat piece sweeps its whole x-range).  Gaps of a few ulps
+    in the union are rounding and are closed, since they break additivity."""
+    xs, ys = f.xs, f.ys
+    n = xs.size - 1
+    vmin, vmax = np.minimum(ys[:-1], ys[1:]), np.maximum(ys[:-1], ys[1:])
+    flat = ys[:-1] == ys[1:]
+    dy = np.where(flat, 1.0, np.diff(ys))
+    eps = 4 * np.spacing(max(abs(f.x_min), abs(f.x_max)))
+
+    def ends(k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # Leftmost and rightmost x on piece k where f = v.  Exact at t = 0
+        # and t = 1, which keeps 0 and the width members of the set.
+        t = (v - ys[k]) / dy[k]
+        x = (1.0 - t) * xs[k] + t * xs[k + 1]
+        return x, np.where(flat[k], xs[k + 1], x)
+
+    parts = [(np.zeros(1), np.zeros(1))]
+    rows = max(1, _BLOCK_CELLS // max(n, 1))
+    for r0 in range(0, n, rows):
+        i, j = np.ogrid[r0 : min(r0 + rows, n), r0:n]
+        cells = (vmin[i] <= vmax[j]) & (vmin[j] <= vmax[i]) & (j >= i)
+        ii, jj = np.add(np.divmod(np.flatnonzero(cells), n - r0), r0)
+        v = np.stack([np.maximum(vmin[ii], vmin[jj]), np.minimum(vmax[ii], vmax[jj])])
+        (xl, xr), (yl, yr) = ends(ii, v), ends(jj, v)
+        lo = np.clip(np.minimum(*(yl - xr)), 0.0, f.width)
+        parts.append(_union(lo, np.clip(np.maximum(*(yr - xl)), 0.0, f.width), eps))
+    lo, hi = _union(*map(np.concatenate, zip(*parts)), eps)
+    return ClosedIntervalSet(tuple(zip(lo.tolist(), hi.tolist())))
+
+
 @dataclass(frozen=True)
 class ChordScan:
     """Membership of each scanned length in the chord set, plus refined
@@ -81,42 +128,27 @@ class ChordScan:
     resolution: float
 
 
-def chord_set_scan(
-    f: PiecewiseLinearFunction, resolution: float, tol: float = DEFAULT_TOL
-) -> ChordScan:
-    """Classify chord lengths on a uniform grid over [0, width].
-
-    Each membership flip between adjacent grid points is refined by
-    bisection to a bracket of width resolution / 1024, locating the
-    chord set's boundary points."""
+def _grid(f: PiecewiseLinearFunction, resolution: float) -> np.ndarray:
+    """Uniform grid of lengths over [0, width], validating resolution."""
     w = f.width
     if w <= 0:
         raise ValueError("cannot scan a single-point function")
     resolution = float(resolution)
     if not (0 < resolution <= w):
         raise ValueError(f"resolution must lie in (0, {w:g}], got {resolution:g}")
-    n = int(np.floor(w / resolution + 1e-9))
-    grid = np.arange(n + 1) * resolution
-    guard = 1e-12 * max(1.0, w)
-    if grid[-1] < w - guard:
-        grid = np.append(grid, w)
-    else:
-        grid[-1] = w
-    member = np.array(
-        [has_horizontal_chord(f, float(s), tol).exists for s in grid], dtype=bool
-    )
-    brackets = []
-    for i in np.nonzero(member[:-1] != member[1:])[0]:
-        lo, hi = float(grid[i]), float(grid[i + 1])
-        m_lo = bool(member[i])
-        for _ in range(10):
-            mid = 0.5 * (lo + hi)
-            if has_horizontal_chord(f, mid, tol).exists == m_lo:
-                lo = mid
-            else:
-                hi = mid
-        brackets.append((lo, hi))
-    return ChordScan(grid, member, tuple(brackets), resolution)
+    grid = np.arange(int(np.floor(w / resolution + 1e-9)) + 1) * resolution
+    return np.append(grid[grid < w - 1e-12 * max(1.0, w)], w)
+
+
+def chord_set_scan(f: PiecewiseLinearFunction, resolution: float) -> ChordScan:
+    """Grid view of :func:`chord_set`: membership of each length on a
+    uniform grid over [0, width], and a degenerate bracket (b, b) at each
+    exact point b where membership flips."""
+    grid = _grid(f, resolution)
+    los, his = np.array(chord_set(f).to_pairs()).T
+    member = grid <= his[np.searchsorted(los, grid, side="right") - 1]
+    flips = np.union1d(his[his < f.width], los[1:])
+    return ChordScan(grid, member, tuple((b, b) for b in flips.tolist()), float(resolution))
 
 
 @dataclass(frozen=True)
@@ -125,42 +157,16 @@ class AdditivityCheck:
     violations: tuple[tuple[float, float, float], ...]
 
 
-def verify_complement_additivity(
-    f: PiecewiseLinearFunction, resolution: float, tol: float = DEFAULT_TOL
-) -> AdditivityCheck:
-    """Empirically confirm that absent chord lengths are closed under
-    addition for this function.
-
-    Scans the chord set, then checks every pairwise sum of absent grid
-    lengths: the sum must again be absent.  Sums falling within one
-    resolution of a refined set boundary are skipped, since grid
-    membership is not trustworthy there.  Violations are returned as
-    (a, b, a + b) triples."""
-    scan = chord_set_scan(f, resolution, tol)
-    w = float(scan.lengths[-1])
-    absent = scan.lengths[~scan.membership]
-    if absent.size == 0:
+def verify_complement_additivity(f: PiecewiseLinearFunction, resolution: float) -> AdditivityCheck:
+    """Decide exactly whether f's absent chord lengths are closed under
+    addition, as :func:`is_additive` of :func:`chord_set`; ``resolution``
+    is only validated.  A violation is an (a, b, a + b) triple."""
+    _grid(f, resolution)
+    res = is_additive(chord_set(f))
+    if res.additive:
         return AdditivityCheck(True, ())
-    a = np.repeat(absent, absent.size)
-    b = np.tile(absent, absent.size)
-    sums = a + b
-    keep = sums <= w + 1e-12 * max(1.0, w)
-    a, b, sums = a[keep], b[keep], sums[keep]
-    if sums.size == 0:
-        return AdditivityCheck(True, ())
-    idx = np.searchsorted(scan.lengths, sums)
-    idx = np.clip(idx, 1, scan.lengths.size - 1)
-    left_closer = (sums - scan.lengths[idx - 1]) < (scan.lengths[idx] - sums)
-    nearest = np.where(left_closer, idx - 1, idx)
-    in_set = scan.membership[nearest]
-    near_boundary = np.zeros(sums.shape, dtype=bool)
-    for blo, bhi in scan.refined_boundaries:
-        near_boundary |= (sums >= blo - resolution) & (sums <= bhi + resolution)
-    bad = in_set & ~near_boundary
-    violations = tuple(
-        (float(x), float(y), float(z)) for x, y, z in zip(a[bad], b[bad], sums[bad])
-    )
-    return AdditivityCheck(len(violations) == 0, violations)
+    a, b = res.counterexample
+    return AdditivityCheck(False, ((a, b, a + b),))
 
 
 def sign_changes(f: PiecewiseLinearFunction, tol: float = DEFAULT_TOL) -> int:

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .intervals import DEFAULT_TOL
+
 
 @dataclass(frozen=True, eq=False)
 class PiecewiseLinearFunction:
@@ -85,7 +87,7 @@ class PiecewiseLinearFunction:
     def scaled(self, factor: float) -> "PiecewiseLinearFunction":
         return PiecewiseLinearFunction(self.xs, self.ys * float(factor))
 
-    def shift_difference(self, s: float, tol: float = 1e-9) -> "PiecewiseLinearFunction":
+    def shift_difference(self, s: float, tol: float = DEFAULT_TOL) -> "PiecewiseLinearFunction":
         """Exact piecewise linear representation of x -> f(x + s) - f(x),
         defined on [x_min, x_max - s]."""
         s = float(s)

@@ -19,10 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .builders import SmoothFunction, SmoothShapeSpec, build_levy
+from .intervals import DEFAULT_TOL
 from .oracle import ChordQueryResult, has_horizontal_chord
 from .piecewise import PiecewiseLinearFunction
-
-DEFAULT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -95,7 +94,7 @@ class RaceProfile:
             if len(pair) != 2:
                 raise ValueError(f"each split must be a (distance, time) pair, got {item!r}")
             d, t = float(pair[0]), float(pair[1])
-            if not ts[1:] and abs(d) <= DEFAULT_TOL and abs(t) <= DEFAULT_TOL:
+            if len(ts) == 1 and abs(d) <= DEFAULT_TOL and abs(t) <= DEFAULT_TOL:
                 continue
             ts.append(t)
             ds.append(d)

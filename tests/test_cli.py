@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -110,6 +111,36 @@ class TestChords:
         header = out_csv.read_text().splitlines()[0]
         assert header == "s,in_chord_set"
 
+    def test_summary_names_exact_intervals(self, spec_path, tmp_path, capsys):
+        fn_path = tmp_path / "fn.json"
+        main(["construct", spec_path, "--output", str(fn_path)])
+        capsys.readouterr()
+        assert main(["chords", str(fn_path), "--output", str(tmp_path / "scan.csv")]) == 0
+        out = capsys.readouterr().out
+        assert "[0, 0.9], [1.1, 1.8], [2.2, 2.7], [3.3, 3.6], [4.4, 4.4]" in out
+
+    def test_smooth_construction_round_trip(self, spec_path, tmp_path, capsys):
+        # sampled at sup/1000 and scanned at sup/500, the smooth
+        # construction must give back the prescribed boundaries
+        fn_path = tmp_path / "smooth.json"
+        assert main(["construct", spec_path, "--shape", "smooth", "--output", str(fn_path)]) == 0
+        assert main(["chords", str(fn_path), "--output", str(tmp_path / "scan.csv")]) == 0
+        with (tmp_path / "scan_boundaries.csv").open() as fh:
+            found = [0.5 * (float(lo) + float(hi)) for lo, hi in list(csv.reader(fh))[1:]]
+        expected = [0.9, 1.1, 1.8, 2.2, 2.7, 3.3, 3.6, 4.4]
+        allowed = 2 * (4.4 / 1000 + 4.4 / 500)
+        assert len(found) == len(expected)
+        assert max(abs(a - b) for a, b in zip(found, expected)) <= allowed
+
+    def test_tolerance_not_accepted(self, spec_path, tmp_path):
+        for argv in (
+            ["chords", spec_path, "--output", str(tmp_path / "scan.csv")],
+            ["plot", spec_path, "--output", str(tmp_path / "f.svg")],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--tolerance", "0"])
+            assert exc.value.code == 2
+
 
 class TestRaceCommands:
     def test_find_split_golden_line(self, miles_path, capsys):
@@ -119,6 +150,22 @@ class TestRaceCommands:
     def test_exists_split_positive(self, miles_path, capsys):
         assert main(["race-exists-split", miles_path, "--window", "1.0"]) == 0
         assert capsys.readouterr().out == "t* = 165.000000 s\n"
+
+    def test_find_split_bisection_failure_exits_1(self, tmp_path, capsys):
+        # with --tolerance 0 the bisection ends on a rounding residual
+        path = tmp_path / "steep.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "total_distance": 3.0,
+                    "total_time": 900,
+                    "splits": [[1.15, 883], [1.85, 897], [3, 900]],
+                }
+            )
+        )
+        code = main(["race-find-split", str(path), "--window", "1", "--tolerance", "0"])
+        assert code == 1
+        assert "error: bisection failed" in capsys.readouterr().err
 
     def test_find_split_non_divisor_exits_1(self, miles_path, capsys):
         assert main(["race-find-split", miles_path, "--window", "2.0"]) == 1

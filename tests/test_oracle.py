@@ -5,9 +5,10 @@ from hypothesis import strategies as st
 
 import chordlab.oracle as oracle_mod
 from chordlab import (
-    ChordScan,
+    ClosedIntervalSet,
     PiecewiseLinearFunction,
     build_hopf,
+    chord_set,
     chord_set_scan,
     has_horizontal_chord,
     levit_bound,
@@ -78,6 +79,29 @@ class TestHasHorizontalChord:
         assert res.witness_x == pytest.approx(0.5, abs=1e-15)
 
 
+class TestChordSet:
+    def test_golden(self, sawtooth_fn):
+        got = np.array(chord_set(sawtooth_fn).to_pairs())
+        np.testing.assert_allclose(got, SAWTOOTH_PAIRS, atol=1e-12)
+
+    def test_single_point_and_flat(self):
+        point = PiecewiseLinearFunction(np.array([1.0]), np.array([2.0]))
+        assert chord_set(point).to_pairs() == [[0.0, 0.0]]
+        flat = PiecewiseLinearFunction(np.array([1.0, 2.0, 4.0]), np.array([3.0, 3.0, 3.0]))
+        assert chord_set(flat).to_pairs() == [[0.0, 3.0]]
+
+    def test_unequal_ends_flip_at_sup(self):
+        # x = v on [0, 1] meets y = 3 - 2v on [1, 3] (s = 3 - 3v), and then
+        # y = 5 - 4v once the right end is raised to 0.5 (s = 5 - 5v)
+        f = PiecewiseLinearFunction(np.array([0.0, 1.0, 3.0]), np.array([0.0, 1.0, 0.0]))
+        assert chord_set(f).to_pairs() == [[0.0, 3.0]]
+        g = PiecewiseLinearFunction(np.array([0.0, 1.0, 3.0]), np.array([0.0, 1.0, 0.5]))
+        np.testing.assert_allclose(chord_set(g).to_pairs(), [[0.0, 2.5]], atol=1e-15)
+        scan = chord_set_scan(g, 0.5)
+        assert scan.membership.tolist() == [True] * 6 + [False]
+        np.testing.assert_allclose(scan.refined_boundaries, [(2.5, 2.5)], atol=1e-15)
+
+
 class TestChordSetScan:
     def test_membership_matches_set(self, sawtooth_fn):
         scan = chord_set_scan(sawtooth_fn, 0.01)
@@ -109,9 +133,16 @@ class TestChordSetScan:
         f = PiecewiseLinearFunction(np.array([0.0]), np.array([0.0]))
         with pytest.raises(ValueError, match="single-point"):
             chord_set_scan(f, 0.1)
+        with pytest.raises(ValueError, match="single-point"):
+            verify_complement_additivity(f, 0.1)
 
 
 class TestVerifyComplementAdditivity:
+    def test_resolution_validation(self, sawtooth_fn):
+        for bad in (0.0, 10.0):
+            with pytest.raises(ValueError, match="resolution"):
+                verify_complement_additivity(sawtooth_fn, bad)
+
     def test_holds_for_golden(self, sawtooth_fn):
         check = verify_complement_additivity(sawtooth_fn, 4.4 / 500)
         assert check.holds
@@ -123,18 +154,16 @@ class TestVerifyComplementAdditivity:
         assert check.holds
 
     def test_violation_reporting(self, sawtooth_fn, monkeypatch):
-        # no real function can produce a non-additive absence pattern, so
-        # fake a scan to exercise the reporting path
-        fake = ChordScan(
-            lengths=np.array([0.0, 1.0, 2.0, 3.0]),
-            membership=np.array([True, False, False, True]),
-            refined_boundaries=(),
-            resolution=1.0,
-        )
-        monkeypatch.setattr(oracle_mod, "chord_set_scan", lambda *a, **k: fake)
+        # no real function has a non-additive chord set, so fake one to
+        # exercise the reporting path
+        fake = ClosedIntervalSet.from_pairs([[0.0, 0.5], [1.1, 1.2], [2.0, 2.5]])
+        monkeypatch.setattr(oracle_mod, "chord_set", lambda f: fake)
         check = verify_complement_additivity(sawtooth_fn, 1.0)
         assert not check.holds
-        assert (1.0, 2.0, 3.0) in check.violations
+        ((a, b, total),) = check.violations
+        assert total == a + b
+        assert not fake.contains(a) and not fake.contains(b)
+        assert fake.contains(total)
 
     def test_all_present_trivially_holds(self):
         f = PiecewiseLinearFunction(np.array([0.0, 2.0]), np.array([0.0, 0.0]))

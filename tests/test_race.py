@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -49,6 +51,16 @@ class TestRaceProfile:
     def test_leading_zero_split_tolerated(self):
         p = RaceProfile.from_splits(2.0, 600.0, [(0.0, 0.0), (2.0, 600.0)])
         assert p.position.xs.size == 2
+
+    def test_from_splits_scales_linearly(self):
+        n, budget = 100_000, 2.0
+        splits = [(k + 1.0, 3.0 * (k + 1)) for k in range(n)]
+        t0 = time.perf_counter()
+        p = RaceProfile.from_splits(float(n), 3.0 * n, splits)
+        dt = time.perf_counter() - t0
+        print(f"from_splits with {n} splits: {dt:.2f}s (budget {budget:.0f}s)")
+        assert p.position.xs.size == n + 1
+        assert dt < budget
 
     def test_average_pace(self, half_marathon):
         assert half_marathon.average_pace == pytest.approx(3950.0 / 21.1)
