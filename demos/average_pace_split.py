@@ -3,9 +3,10 @@
 Mile splits 5:30, 6:30, 6:00 give an 18:00 finish, so average pace is
 6:00 per mile.  None of the three recorded miles hits 6:00, but because
 3 / 1 is a whole number some sub-interval of exactly one mile must be
-run at exactly average pace.  The finder walks the aligned thirds of
-the race, brackets the answer between a too-fast and a too-slow window,
-and bisects.  Here it lands at t* = 165 s: the mile from 2:45 to 8:45.
+run at exactly average pace.  The distance covered by the window
+starting at t is piecewise linear in t, so the finder reads the first
+such window off exactly, interpolating between its vertices.  Here it
+lands at t* = 165 s: the mile from 2:45 to 8:45.
 
 The same guarantee holds for every divisor window, and for randomly
 generated profiles; the demo closes with a quick random check.

@@ -52,12 +52,10 @@ def has_horizontal_chord(
     ys = g.ys
     zero_idx = np.nonzero(np.abs(ys) <= tol)[0]
     first_zero = int(zero_idx[0]) if zero_idx.size else None
-    first_cross = None
-    if ys.size > 1:
-        prods = ys[:-1] * ys[1:]
-        cross_idx = np.nonzero(prods < 0)[0]
-        if cross_idx.size:
-            first_cross = int(cross_idx[0])
+    # sign bits, not products: a product of tiny values underflows to -0.0
+    neg = np.signbit(ys)
+    cross_idx = np.flatnonzero((neg[:-1] != neg[1:]) & (ys[:-1] != 0) & (ys[1:] != 0))
+    first_cross = int(cross_idx[0]) if cross_idx.size else None
     if first_zero is None and first_cross is None:
         return ChordQueryResult(False, s)
     if first_zero is not None and (first_cross is None or first_zero <= first_cross):
@@ -181,10 +179,8 @@ def sign_changes(f: PiecewiseLinearFunction, tol: float = DEFAULT_TOL) -> int:
             "sign change count requires zero endpoint values; got "
             f"f(x_min) = {float(ys[0]):g}, f(x_max) = {float(ys[-1]):g}"
         )
-    vals = ys[np.abs(ys) > tol]
-    if vals.size < 2:
-        return 0
-    return int(np.sum(vals[:-1] * vals[1:] < 0))
+    neg = np.signbit(ys[np.abs(ys) > tol])
+    return int(np.count_nonzero(neg[:-1] != neg[1:]))
 
 
 def levit_bound(f: PiecewiseLinearFunction, tol: float = DEFAULT_TOL) -> float:

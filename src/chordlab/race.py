@@ -5,9 +5,10 @@ function on [0, T] covering distance L.  The central question: is there
 a sub-interval covering exactly distance d in exactly the average time
 T * d / L?  A change of variables turns this into a horizontal chord
 question, so the answers inherit the chord-set dichotomy: for L/d a
-whole number the window always exists and a proof-following bisection
-finds one; otherwise adversarial profiles without any such window can
-be constructed.
+whole number the window always exists, and the exact chord query on
+the rescaled profile finds one by interpolating between vertices;
+otherwise adversarial profiles without any such window can be
+constructed.
 """
 
 from __future__ import annotations
@@ -205,15 +206,12 @@ def find_average_split(profile: RaceProfile, d: float, tol: float = DEFAULT_TOL)
     """Start time of a distance-d window run at exactly average pace,
     for d dividing the total distance a whole number of times.
 
-    Existence is guaranteed in this case: the n aligned windows of
-    duration T / n cover distances summing to L = n d, so either some
-    aligned window covers exactly d, or two cover more and less than d
-    and a bisection between their start times pins the root of
-    (distance covered) - d.  The returned t* satisfies
+    Existence is guaranteed in this case (the universal chord theorem
+    applied to :func:`to_chord_problem`), and the window is the exact
+    witness of :func:`exists_average_split`.  The returned t* satisfies
     |position(t* + T/n) - position(t*) - d| <= tol * d."""
     d = _check_window_distance(profile, d)
     L = profile.total_distance
-    T = profile.total_time
     ratio = L / d
     n = round(ratio)
     if n < 1 or abs(ratio - n) > DEFAULT_TOL * max(1.0, ratio):
@@ -221,46 +219,10 @@ def find_average_split(profile: RaceProfile, d: float, tol: float = DEFAULT_TOL)
             f"total distance {L:g} is not a whole-number multiple of {d:g}; "
             "an average-pace window need not exist (use exists_average_split instead)"
         )
-    window = T / n
-    pos = profile.position
-
-    def covered(t: float) -> float:
-        return pos(t + window) - pos(t)
-
-    x0 = None  # earliest aligned start covering more than d
-    x1 = None  # earliest aligned start covering less than d
-    for k in range(n):
-        t = k * window
-        r = covered(t) - d
-        if abs(r) <= tol * d:
-            return t
-        if r > 0 and x0 is None:
-            x0 = t
-        elif r < 0 and x1 is None:
-            x1 = t
-        if x0 is not None and x1 is not None:
-            break
-    if x0 is None or x1 is None:
-        # Cannot happen for a valid profile: the aligned residues sum to 0.
-        raise RuntimeError("aligned windows do not bracket the average distance")
-    mid = x0
-    for _ in range(200):
-        mid = 0.5 * (x0 + x1)
-        if mid == x0 or mid == x1:
-            break
-        r = covered(mid) - d
-        if r > 0:
-            x0 = mid
-        elif r < 0:
-            x1 = mid
-        else:
-            break
-    if abs(covered(mid) - d) > tol * d:
-        raise RuntimeError(
-            f"bisection failed to locate an average-pace window (residual "
-            f"{covered(mid) - d:g})"
-        )
-    return float(min(max(mid, 0.0), T - window))
+    res = exists_average_split(profile, d, tol * d)
+    if not res.exists:
+        raise RuntimeError("no average-pace window found for a whole-number ratio")
+    return res.witness_x
 
 
 def from_chord_function(

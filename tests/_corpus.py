@@ -1,6 +1,6 @@
-"""Shared fixtures: the golden sawtooth chord set and random generators
-for admissible sets, zero-ended piecewise linear functions, and race
-profiles.
+"""Shared fixtures: the golden sawtooth chord set, random generators
+for admissible sets, zero-ended piecewise linear functions and race
+profiles, and a Hypothesis strategy for structurally valid layouts.
 
 The random chord sets are built the honest way: start from random open
 gaps, close them under addition (so the complement is additive by
@@ -11,6 +11,7 @@ before handing it to a test.
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import strategies as st
 
 from chordlab import ClosedIntervalSet, PiecewiseLinearFunction, RaceProfile, is_additive
 
@@ -155,3 +156,24 @@ def random_bounded_profile(rng: np.random.Generator) -> RaceProfile:
     ts[-1] = T
     ds[-1] = L
     return RaceProfile(L, T, PiecewiseLinearFunction(ts, ds))
+
+
+@st.composite
+def interval_layouts(draw):
+    """Alternating interval/gap lengths; always a structurally valid set."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    lengths = draw(
+        st.lists(
+            st.floats(min_value=0.05, max_value=3.0, allow_nan=False),
+            min_size=2 * n - 1,
+            max_size=2 * n - 1,
+        )
+    )
+    pairs = []
+    cursor = 0.0
+    for i in range(n):
+        hi = cursor + lengths[2 * i]
+        pairs.append([cursor, hi])
+        if i < n - 1:
+            cursor = hi + lengths[2 * i + 1]
+    return pairs

@@ -13,6 +13,7 @@ from chordlab import (
     has_horizontal_chord,
     levit_bound,
     sign_changes,
+    smooth_chord_function,
     verify_complement_additivity,
 )
 from _corpus import SAWTOOTH_PAIRS, random_zero_ended_pl
@@ -21,6 +22,13 @@ from _corpus import SAWTOOTH_PAIRS, random_zero_ended_pl
 @pytest.fixture(scope="module")
 def sawtooth_fn():
     return build_hopf(SAWTOOTH_PAIRS)
+
+
+@pytest.fixture(scope="module")
+def smooth_sawtooth():
+    # values down to about 1e-44: products of neighbours underflow
+    spec = ClosedIntervalSet.from_pairs(SAWTOOTH_PAIRS)
+    return smooth_chord_function(spec).to_piecewise(1001)
 
 
 class TestHasHorizontalChord:
@@ -77,6 +85,12 @@ class TestHasHorizontalChord:
         res = has_horizontal_chord(f, 1.0)
         # g(x) = 1 - 2x on [0, 1]
         assert res.witness_x == pytest.approx(0.5, abs=1e-15)
+
+    def test_tiny_values_agree_with_exact_set(self, smooth_sawtooth):
+        s = chord_set(smooth_sawtooth)
+        for length in np.linspace(0.0, smooth_sawtooth.width, 441):
+            got = has_horizontal_chord(smooth_sawtooth, length, 0.0).exists
+            assert got == s.contains(length, 0.0), length
 
 
 class TestChordSet:
@@ -190,6 +204,9 @@ class TestSignChanges:
         )
         assert sign_changes(f) == 0
         assert sign_changes(f, tol=1e-15) == 1
+
+    def test_tiny_values_counted_by_sign(self, smooth_sawtooth):
+        assert sign_changes(smooth_sawtooth, 0.0) == 7
 
     def test_single_lobe(self):
         f = PiecewiseLinearFunction(np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 0.0]))

@@ -1,6 +1,6 @@
 """Properties tying the exact chord set to the other layers: point
 queries, the Hopf construction, the additivity of the complement and
-JSON round trips."""
+JSON round trips; and the validator's verdict to additivity alone."""
 
 import json
 
@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chordlab import (
+    ClosedIntervalSet,
     PiecewiseLinearFunction,
     build_hopf,
     chord_set,
@@ -17,8 +18,9 @@ from chordlab import (
     is_additive,
     parse_function,
     smooth_samples_to_obj,
+    validate_chord_spec,
 )
-from _corpus import random_chord_set, random_zero_ended_pl
+from _corpus import interval_layouts, random_chord_set, random_zero_ended_pl
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -82,3 +84,22 @@ def test_survives_json_round_trip(seed):
             got = np.array(chord_set(back).to_pairs())
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-9 * f.width
+
+
+def _verdicts_agree(pairs):
+    s = ClosedIntervalSet.from_pairs(pairs)
+    assert validate_chord_spec(pairs).ok == is_additive(s).additive
+
+
+@settings(max_examples=100, deadline=None)
+@given(interval_layouts())
+def test_validator_verdict_is_additivity(pairs):
+    # every other admissibility condition follows from additivity, so on
+    # structurally valid sets the validator can say nothing more
+    _verdicts_agree(pairs)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seeds)
+def test_validator_accepts_admissible_sets(seed):
+    _verdicts_agree(random_chord_set(np.random.default_rng(seed)).to_pairs())

@@ -188,6 +188,8 @@ class TestFindAverageSplit:
     def test_aligned_exact_hit(self):
         p = RaceProfile.from_splits(2.0, 720.0, [(1.0, 360.0), (2.0, 720.0)])
         assert find_average_split(p, 1.0) == 0.0
+        p = RaceProfile.from_splits(3.0, 1080.0, [(1.0, 300.0), (2.0, 660.0), (3.0, 1080.0)])
+        assert find_average_split(p, 1.0) == pytest.approx(300.0, abs=1e-9)
 
     def test_whole_race_window(self, three_miles):
         assert find_average_split(three_miles, 3.0) == 0.0
@@ -209,6 +211,34 @@ class TestFindAverageSplit:
             covered = profile.position(t + window) - profile.position(t)
             assert abs(covered - d) <= 1e-9 * d
             assert -1e-12 <= t <= profile.total_time - window + 1e-9
+
+    def test_scales_to_many_splits(self):
+        n, budget = 100_000, 1.0
+        ts = np.concatenate([[0.0], np.cumsum(3.0 + np.sin(np.arange(n)))])
+        p = RaceProfile(float(n), float(ts[-1]), PiecewiseLinearFunction(ts, np.arange(n + 1.0)))
+        t0 = time.perf_counter()
+        t = find_average_split(p, n / 4.0)
+        dt = time.perf_counter() - t0
+        print(f"find_average_split with {n} splits: {dt:.3f}s (budget {budget:.0f}s)")
+        window = p.total_time / 4.0
+        assert abs(p.position(t + window) - p.position(t) - n / 4.0) <= 1e-9 * n / 4.0
+        assert dt < budget
+
+
+def _assert_exact_witness(profile, d):
+    t = find_average_split(profile, d)
+    assert t == exists_average_split(profile, d).witness_x
+    window = profile.total_time * d / profile.total_distance
+    covered = profile.position(t + window) - profile.position(t)
+    assert abs(covered - d) <= 1e-9 * d
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_find_is_exact_witness(seed):
+    profile, d, _ = random_integer_ratio_profile(np.random.default_rng(seed))
+    _assert_exact_witness(profile, d)
+    _assert_exact_witness(profile, profile.total_distance)  # n = 1
 
 
 class TestFromChordFunction:
