@@ -25,11 +25,11 @@ from typing import Callable, Union
 import numpy as np
 
 from .intervals import (
-    DEFAULT_TOL,
     ClosedIntervalSet,
     ValidationError,
     boundary_projections,
     complement_components,
+    tolerance,
     validate_chord_spec,
 )
 from .piecewise import PiecewiseLinearFunction
@@ -121,7 +121,7 @@ class SmoothFunction:
         return PiecewiseLinearFunction(xs, ys)
 
 
-def build_hopf(spec, tol: float = DEFAULT_TOL) -> PiecewiseLinearFunction:
+def build_hopf(spec) -> PiecewiseLinearFunction:
     """Signed distance to the boundary of an admissible chord set.
 
     Positive tents of height len/2 over each interval, negative tents
@@ -129,7 +129,7 @@ def build_hopf(spec, tol: float = DEFAULT_TOL) -> PiecewiseLinearFunction:
     horizontal chord set of the result is exactly the input set.
     Raises ValidationError if the set fails admissibility checks.
     """
-    report = validate_chord_spec(spec, tol)
+    report = validate_chord_spec(spec)
     if not report.ok:
         raise ValidationError("chord set fails validation:\n" + report.summary())
     s = report.interval_set
@@ -158,12 +158,14 @@ def _flat_product(alpha: float, beta: float) -> float:
 @lru_cache(maxsize=256)
 def _check_shape_function(fn: Callable[[float, float], float], scale: float) -> None:
     """Heuristic spot check that fn vanishes on the axes and is jointly
-    strictly increasing off them, probed on a 5x5 grid over [0, scale]^2."""
+    strictly increasing off them, probed on a 5x5 grid over [0, scale]^2.
+    Vanishing means within the tolerance of the largest probed value."""
     grid = [scale * i / 4.0 for i in range(5)]
     vals = [[float(fn(a, b)) for b in grid] for a in grid]
+    slack = tolerance(*(v for row in vals for v in row))
     for i in range(5):
-        if abs(vals[0][i]) > 1e-12 or abs(vals[i][0]) > 1e-12:
-            a, b = (grid[0], grid[i]) if abs(vals[0][i]) > 1e-12 else (grid[i], grid[0])
+        if abs(vals[0][i]) > slack or abs(vals[i][0]) > slack:
+            a, b = (grid[0], grid[i]) if abs(vals[0][i]) > slack else (grid[i], grid[0])
             raise ValueError(
                 f"shape function must vanish when either argument is 0; "
                 f"F({a:g}, {b:g}) = {float(fn(a, b)):g}"
@@ -190,14 +192,9 @@ def _shape_check_scale(s: ClosedIntervalSet) -> float:
     return max(max(iv.length for iv in s.intervals), 1.0)
 
 
-def _eval_signed_one(
-    s: ClosedIntervalSet,
-    fn: Callable[[float, float], float],
-    x: float,
-    tol: float,
-) -> float:
-    sign = s.membership_sign(x, tol)
-    proj = boundary_projections(s, x, tol)
+def _eval_signed_one(s: ClosedIntervalSet, fn: Callable[[float, float], float], x: float) -> float:
+    sign = s.membership_sign(x)
+    proj = boundary_projections(s, x)
     if proj.alpha == 0.0 and proj.beta == 0.0:
         return 0.0
     val = float(fn(proj.alpha, proj.beta))
@@ -208,12 +205,7 @@ def _eval_signed_one(
     return val
 
 
-def eval_generalized(
-    s: ClosedIntervalSet,
-    shape_fn: Callable[[float, float], float],
-    x,
-    tol: float = DEFAULT_TOL,
-):
+def eval_generalized(s: ClosedIntervalSet, shape_fn: Callable[[float, float], float], x):
     """Evaluate the generalized boundary-distance construction at x.
 
     With a = nearest boundary point at or below x and b = nearest at or
@@ -229,30 +221,27 @@ def eval_generalized(
     flat = np.atleast_1d(arr).ravel()
     out = np.empty(flat.shape)
     for i, xv in enumerate(flat):
-        out[i] = _eval_signed_one(s, shape_fn, float(xv), tol)
+        out[i] = _eval_signed_one(s, shape_fn, float(xv))
     if scalar:
         return float(out[0])
     return out.reshape(np.atleast_1d(arr).shape)
 
 
-def eval_smooth(s: ClosedIntervalSet, x, tol: float = DEFAULT_TOL):
+def eval_smooth(s: ClosedIntervalSet, x):
     """Generalized construction with the flat exponential profile
     exp(-1/(alpha*beta)).  Smooth in the interior of every component and
     flat to all orders at every boundary point."""
-    return eval_generalized(s, _flat_product, x, tol)
+    return eval_generalized(s, _flat_product, x)
 
 
-def smooth_chord_function(s: ClosedIntervalSet, tol: float = DEFAULT_TOL) -> SmoothFunction:
+def smooth_chord_function(s: ClosedIntervalSet) -> SmoothFunction:
     """Package :func:`eval_smooth` for the given set as a function object
     on [0, sup]."""
-    return SmoothFunction(lambda x: eval_smooth(s, x, tol), 0.0, s.sup)
+    return SmoothFunction(lambda x: eval_smooth(s, x), 0.0, s.sup)
 
 
 def build_levy(
-    total_width: float,
-    h: float,
-    shape: SmoothShapeSpec | None = None,
-    tol: float = DEFAULT_TOL,
+    total_width: float, h: float, shape: SmoothShapeSpec | None = None
 ) -> Union[PiecewiseLinearFunction, SmoothFunction]:
     """Function on [0, W] with f(0) = f(W) = 0 and no horizontal chord of
     length h.
@@ -272,19 +261,19 @@ def build_levy(
         shape = SmoothShapeSpec("triangle_wave", period=h, amplitude=1.0)
     if not shape.is_periodic:
         raise ValueError(f"shape kind {shape.kind!r} is not periodic; use sin_squared or triangle_wave")
-    if abs(shape.period - h) > tol * max(1.0, h):
+    if abs(shape.period - h) > tolerance(h):
         raise ValueError(
             f"shape period {shape.period:g} must equal the avoided length {h:g}"
         )
     phi_end = float(shape(w))
-    if abs(phi_end) <= tol:
+    if abs(phi_end) <= tolerance(shape.amplitude):
         raise ValueError(
             f"cannot avoid chords of length {h:g}: the width {w:g} is an integer "
             f"multiple of {h:g}, and such a chord always exists (universal chord theorem)"
         )
     slope = phi_end / w
     if shape.kind == "triangle_wave":
-        guard = 1e-9 * max(1.0, w)
+        guard = tolerance(w)
         half = 0.5 * h
         k = np.arange(int(math.floor((w - guard) / half)) + 2)
         xs_all = k * half

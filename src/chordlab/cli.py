@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .builders import build_hopf, smooth_chord_function
-from .intervals import DEFAULT_TOL, validate_chord_spec
+from .intervals import validate_chord_spec
 from .io import (
     function_to_obj,
     interval_set_to_obj,
@@ -66,7 +66,7 @@ def _cmd_validate(args) -> int:
     obj = load_json(args.spec)
     if not isinstance(obj, dict) or "intervals" not in obj:
         raise ValueError(f'{args.spec} must contain key "intervals"')
-    report = validate_chord_spec(obj["intervals"], args.tolerance)
+    report = validate_chord_spec(obj["intervals"])
     print(report.summary())
     return 0 if report.ok else 3
 
@@ -76,14 +76,14 @@ def _cmd_construct(args) -> int:
     if not isinstance(obj, dict) or "intervals" not in obj:
         raise ValueError(f'{args.spec} must contain key "intervals"')
     if args.shape == "hopf":
-        f = build_hopf(obj["intervals"], args.tolerance)
+        f = build_hopf(obj["intervals"])
         _emit(function_to_obj(f), args.output)
         return 0
     s = parse_interval_set(obj)
-    report = validate_chord_spec(s, args.tolerance)
+    report = validate_chord_spec(s)
     if not report.ok:
         raise ValueError("chord set fails validation:\n" + report.summary())
-    sf = smooth_chord_function(s, args.tolerance)
+    sf = smooth_chord_function(s)
     spacing = args.resolution if args.resolution is not None else s.sup / 1000.0
     if spacing <= 0:
         raise ValueError(f"resolution must be positive, got {spacing:g}")
@@ -110,11 +110,7 @@ def _cmd_chords(args) -> int:
 def _cmd_race_plan(args) -> int:
     total_time = parse_duration(args.time)
     profile = build_adversarial_profile(
-        args.distance,
-        total_time,
-        args.window,
-        phi_kind=_PHI_KINDS[args.shape],
-        tol=args.tolerance,
+        args.distance, total_time, args.window, phi_kind=_PHI_KINDS[args.shape]
     )
     _emit(profile_to_obj(profile), args.output)
     return 0
@@ -122,14 +118,14 @@ def _cmd_race_plan(args) -> int:
 
 def _cmd_race_find_split(args) -> int:
     profile = parse_profile(load_json(args.profile))
-    t = find_average_split(profile, args.window, args.tolerance)
+    t = find_average_split(profile, args.window)
     print(f"t* = {t:.6f} s")
     return 0
 
 
 def _cmd_race_exists_split(args) -> int:
     profile = parse_profile(load_json(args.profile))
-    res = exists_average_split(profile, args.window, args.tolerance)
+    res = exists_average_split(profile, args.window)
     if res.exists:
         print(f"t* = {res.witness_x:.6f} s")
         return 0
@@ -154,24 +150,17 @@ def _cmd_plot(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--tolerance",
-        type=float,
-        default=DEFAULT_TOL,
-        help="numerical tolerance for zero and membership tests (default %(default)g)",
-    )
     parser = argparse.ArgumentParser(
         prog="chordlab",
         description="Horizontal chord sets and average-pace race analysis",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", parents=[common], help="check a chord set for admissibility")
+    p = sub.add_parser("validate", help="check a chord set for admissibility")
     p.add_argument("spec", help="JSON file with an 'intervals' list")
     p.set_defaults(handler=_cmd_validate)
 
-    p = sub.add_parser("construct", parents=[common], help="build a function realizing a chord set")
+    p = sub.add_parser("construct", help="build a function realizing a chord set")
     p.add_argument("spec", help="JSON file with an 'intervals' list")
     p.add_argument("--shape", choices=("hopf", "smooth"), default="hopf")
     p.add_argument(
@@ -195,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_chords)
 
     p = sub.add_parser(
-        "race-plan", parents=[common],
+        "race-plan",
         help="build a profile with no average-pace window of the given distance",
     )
     p.add_argument("--distance", type=float, required=True, help="total race distance")
@@ -206,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_race_plan)
 
     p = sub.add_parser(
-        "race-find-split", parents=[common],
+        "race-find-split",
         help="locate an average-pace window when the distance divides the race",
     )
     p.add_argument("profile", help="profile JSON file")
@@ -214,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_race_find_split)
 
     p = sub.add_parser(
-        "race-exists-split", parents=[common],
+        "race-exists-split",
         help="decide whether any average-pace window of the given distance exists",
     )
     p.add_argument("profile", help="profile JSON file")

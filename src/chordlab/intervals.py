@@ -3,9 +3,15 @@
 A *chord set* here is a finite union of disjoint closed intervals that
 contains 0.  The set is *admissible* (realizable as the exact horizontal
 chord set of some continuous function with equal endpoint values) exactly
-when its complement within (0, sup] ... extended by (sup, infinity) ...
-is closed under addition.  This module represents such sets, validates
-admissibility, and answers nearest-boundary queries.
+when its complement in (0, infinity), that is the gaps below sup together
+with the tail (sup, infinity), is closed under addition.  This module
+represents such sets, validates admissibility, and answers
+nearest-boundary queries.
+
+It also holds chordlab's tolerance policy: values computed from a
+piecewise linear function are compared exactly, and inputs are matched
+within :func:`tolerance` of their own scale, so answers do not depend on
+units.
 """
 
 from __future__ import annotations
@@ -15,7 +21,13 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-DEFAULT_TOL = 1e-9
+RTOL = 1e-9
+
+
+def tolerance(*scales: float) -> float:
+    """Slack for matching inputs of the given magnitudes: RTOL times the
+    largest of them."""
+    return RTOL * max(abs(float(x)) for x in scales)
 
 
 class ValidationError(ValueError):
@@ -53,8 +65,8 @@ class Interval:
     def degenerate(self) -> bool:
         return self.hi == self.lo
 
-    def contains(self, x: float, tol: float = 0.0) -> bool:
-        return self.lo - tol <= x <= self.hi + tol
+    def contains(self, x: float) -> bool:
+        return self.lo <= x <= self.hi
 
 
 @dataclass(frozen=True)
@@ -72,10 +84,12 @@ class ClosedIntervalSet:
 
     Construction validates shape only (sortedness, disjointness, first
     interval anchored at 0).  Admissibility is a separate, stronger check;
-    see :func:`is_additive` and :func:`validate_chord_spec`.
+    see :func:`is_additive` and :func:`validate_chord_spec`.  A point within
+    the tolerance of sup of a boundary point counts as on it.
     """
 
     intervals: tuple[Interval, ...]
+    _slack: float = field(init=False, repr=False, compare=False)
     _boundary: tuple[float, ...] = field(init=False, repr=False, compare=False)
     _los: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
@@ -106,13 +120,15 @@ class ClosedIntervalSet:
                     f"intervals touch at {cur.lo:g}; merge them into one interval"
                 )
         first = converted[0]
-        if abs(first.lo) > DEFAULT_TOL:
+        slack = tolerance(converted[-1].hi)
+        if first.lo > slack:
             raise ValidationError(
                 f"the first interval must start at 0, got lo = {first.lo:g}"
             )
         if first.lo != 0.0:
             converted[0] = Interval(0.0, first.hi)
         object.__setattr__(self, "intervals", tuple(converted))
+        object.__setattr__(self, "_slack", slack)
         boundary = []
         for iv in self.intervals:
             boundary.append(iv.lo)
@@ -141,23 +157,24 @@ class ClosedIntervalSet:
         """All interval endpoints, ascending, duplicates collapsed."""
         return self._boundary
 
-    def membership_sign(self, x: float, tol: float = DEFAULT_TOL) -> int:
-        """Return 0 if x lies on the boundary (within tol), +1 if strictly
-        inside an interval, -1 if in a gap or outside [0, sup]."""
+    def membership_sign(self, x: float) -> int:
+        """Return 0 if x lies on the boundary (within the tolerance of
+        sup), +1 if strictly inside an interval, -1 if in a gap or outside
+        [0, sup]."""
         x = float(x)
         i = bisect.bisect_right(self._los, x)
         for j in (i - 1, i):
             if 0 <= j < len(self.intervals):
                 iv = self.intervals[j]
-                if abs(x - iv.lo) <= tol or abs(x - iv.hi) <= tol:
+                if abs(x - iv.lo) <= self._slack or abs(x - iv.hi) <= self._slack:
                     return 0
         if i == 0:
             return -1
         iv = self.intervals[i - 1]
         return 1 if x < iv.hi else -1
 
-    def contains(self, x: float, tol: float = DEFAULT_TOL) -> bool:
-        return self.membership_sign(x, tol) >= 0
+    def contains(self, x: float) -> bool:
+        return self.membership_sign(x) >= 0
 
     def to_pairs(self) -> list[list[float]]:
         return [[iv.lo, iv.hi] for iv in self.intervals]
@@ -198,7 +215,7 @@ class AdditivityResult:
     counterexample: tuple[float, float] | None = None
 
 
-def is_additive(s: ClosedIntervalSet, tol: float = DEFAULT_TOL) -> AdditivityResult:
+def is_additive(s: ClosedIntervalSet) -> AdditivityResult:
     """Check that the complement of s in (0, infinity) is closed under addition.
 
     The complement is a finite union of open intervals (the gaps plus the
@@ -207,20 +224,22 @@ def is_additive(s: ClosedIntervalSet, tol: float = DEFAULT_TOL) -> AdditivityRes
     the sum interval is contained in the complement iff it is contained in a
     single component.  So the pairwise check over gap components is exact.
     Sums that start at or beyond sup land in the tail and always pass.
+    Containment is judged within the tolerance of sup.
 
     On failure the counterexample is a pair (a, b) of complement elements
     whose sum a + b lies in s.
     """
     comp = complement_components(s)
     gaps = comp.gaps
+    slack = s._slack
     supremum = s.sup
     for j, (p1, q1) in enumerate(gaps):
         for p2, q2 in gaps[j:]:
             lo = p1 + p2
             hi = q1 + q2
-            if lo >= supremum - tol:
+            if lo >= supremum - slack:
                 continue
-            contained = any(glo <= lo + tol and hi <= ghi + tol for glo, ghi in gaps)
+            contained = any(glo <= lo + slack and hi <= ghi + slack for glo, ghi in gaps)
             if not contained:
                 pair = _sum_counterexample(s, (p1, q1), (p2, q2), lo, hi)
                 return AdditivityResult(False, pair)
@@ -278,10 +297,7 @@ class ValidationReport:
         return "\n".join(lines + [verdict])
 
 
-def validate_chord_spec(
-    spec: "ClosedIntervalSet | Iterable[Sequence[float]]",
-    tol: float = DEFAULT_TOL,
-) -> ValidationReport:
+def validate_chord_spec(spec: "ClosedIntervalSet | Iterable[Sequence[float]]") -> ValidationReport:
     """Run the full admissibility checklist on a candidate chord set.
 
     Checks, in order: structural soundness and additivity of the
@@ -297,11 +313,11 @@ def validate_chord_spec(
             return ValidationReport((CheckResult("structure", False, str(exc)),), None)
     structure = CheckResult("structure", True, f"{len(s.intervals)} intervals, sup = {s.sup:g}")
 
-    add = is_additive(s, tol)
+    add = is_additive(s)
     if not add.additive:
         a, b = add.counterexample
         detail = f"complement not closed under addition: {a:g} + {b:g} = {a + b:g} lies in the set"
-    elif s.sup <= tol:
+    elif s.sup == 0.0:
         detail = "additive: yes, l = inf (complement is all positive lengths)"
     else:
         detail = f"additive: yes, l = {s.gap_infimum:g}"
@@ -319,17 +335,16 @@ class BoundaryProjection:
     beta: float
 
 
-def boundary_projections(
-    s: ClosedIntervalSet, x: float, tol: float = DEFAULT_TOL
-) -> BoundaryProjection:
+def boundary_projections(s: ClosedIntervalSet, x: float) -> BoundaryProjection:
     """Project x onto the boundary of s from both sides.
 
     For x inside an interval or gap, a and b are the component's endpoints.
-    On the boundary (within tol) the projection collapses: a = b = x and
-    alpha = beta = 0.  Raises ValidationError outside [0, sup].
+    On the boundary (within the tolerance of sup) the projection collapses:
+    a = b = x and alpha = beta = 0.  Raises ValidationError outside
+    [0, sup].
     """
     x = float(x)
-    if x < -tol or x > s.sup + tol:
+    if x < -s._slack or x > s.sup + s._slack:
         raise ValidationError(
             f"point {x:g} is outside the domain [0, {s.sup:g}] of the set"
         )
@@ -342,7 +357,7 @@ def boundary_projections(
             d = abs(x - bdry[j])
             if best is None or d < best[1]:
                 best = (j, d)
-    if best is not None and best[1] <= tol:
+    if best is not None and best[1] <= s._slack:
         p = bdry[best[0]]
         return BoundaryProjection(p, p, 0.0, 0.0)
     a = bdry[i - 1]

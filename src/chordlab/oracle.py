@@ -3,7 +3,7 @@
 For piecewise linear f the shifted difference g(x) = f(x + s) - f(x) is
 again piecewise linear, so "does f have a horizontal chord of length s"
 reduces to checking g's vertex values and sign changes.  No sampling is
-involved; answers are exact up to the tolerance used for "equals zero".
+involved, and a zero is a vertex value of exactly 0.0, so answers are exact.
 
 The whole chord set is a finite union of intervals computed exactly,
 cell by cell; a grid scan and an additivity check are views of it.  The
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .intervals import DEFAULT_TOL, ClosedIntervalSet, is_additive
+from .intervals import ClosedIntervalSet, is_additive, tolerance
 from .piecewise import PiecewiseLinearFunction
 
 
@@ -33,24 +33,23 @@ class ChordQueryResult:
         return (self.witness_x, self.witness_x + self.s)
 
 
-def has_horizontal_chord(
-    f: PiecewiseLinearFunction, s: float, tol: float = DEFAULT_TOL
-) -> ChordQueryResult:
+def has_horizontal_chord(f: PiecewiseLinearFunction, s: float) -> ChordQueryResult:
     """Decide whether f(x + s) = f(x) for some x, exactly.
 
     Returns the leftmost witness x.  A vertex of the shifted difference
-    counts as a zero when its value is within tol; between vertices a
+    counts as a zero when its value is exactly 0.0; between vertices a
     sign change pins an exact interpolated root.
     """
     s = float(s)
-    if s < -tol or s > f.width + tol:
+    slack = tolerance(f.width)
+    if s < -slack or s > f.width + slack:
         raise ValueError(
             f"chord length {s:g} must lie in [0, {f.width:g}] for this function"
         )
     s = min(max(s, 0.0), f.width)
-    g = f.shift_difference(s, tol)
+    g = f.shift_difference(s)
     ys = g.ys
-    zero_idx = np.nonzero(np.abs(ys) <= tol)[0]
+    zero_idx = np.flatnonzero(ys == 0.0)
     first_zero = int(zero_idx[0]) if zero_idx.size else None
     # sign bits, not products: a product of tiny values underflows to -0.0
     neg = np.signbit(ys)
@@ -134,8 +133,9 @@ def _grid(f: PiecewiseLinearFunction, resolution: float) -> np.ndarray:
     resolution = float(resolution)
     if not (0 < resolution <= w):
         raise ValueError(f"resolution must lie in (0, {w:g}], got {resolution:g}")
-    grid = np.arange(int(np.floor(w / resolution + 1e-9)) + 1) * resolution
-    return np.append(grid[grid < w - 1e-12 * max(1.0, w)], w)
+    steps = w / resolution
+    grid = np.arange(int(np.floor(steps + tolerance(steps))) + 1) * resolution
+    return np.append(grid[grid < w - tolerance(w)], w)
 
 
 def chord_set_scan(f: PiecewiseLinearFunction, resolution: float) -> ChordScan:
@@ -167,26 +167,27 @@ def verify_complement_additivity(f: PiecewiseLinearFunction, resolution: float) 
     return AdditivityCheck(False, ((a, b, a + b),))
 
 
-def sign_changes(f: PiecewiseLinearFunction, tol: float = DEFAULT_TOL) -> int:
-    """Count sign alternations among f's nonzero vertex values.
+def sign_changes(f: PiecewiseLinearFunction) -> int:
+    """Count sign alternations among f's nonzero interior vertex values.
 
-    Requires f to vanish at both endpoints (within tol); vertex values
-    with magnitude at most tol are dropped, and the count is the number
+    Requires f to vanish at both endpoints (within the tolerance of its
+    largest value); exact zeros are dropped, and the count is the number
     of consecutive opposite-sign pairs in what remains."""
     ys = f.ys
-    if abs(float(ys[0])) > tol or abs(float(ys[-1])) > tol:
+    if max(abs(ys[0]), abs(ys[-1])) > tolerance(np.max(np.abs(ys))):
         raise ValueError(
             "sign change count requires zero endpoint values; got "
             f"f(x_min) = {float(ys[0]):g}, f(x_max) = {float(ys[-1]):g}"
         )
-    neg = np.signbit(ys[np.abs(ys) > tol])
+    inner = ys[1:-1]
+    neg = np.signbit(inner[inner != 0.0])
     return int(np.count_nonzero(neg[:-1] != neg[1:]))
 
 
-def levit_bound(f: PiecewiseLinearFunction, tol: float = DEFAULT_TOL) -> float:
+def levit_bound(f: PiecewiseLinearFunction) -> float:
     """Largest L such that chords of every length in (0, L] are
     guaranteed, from the sign-change count n: L = width / floor((n+3)/2).
 
     Applies to functions vanishing at both endpoints."""
-    n = sign_changes(f, tol)
+    n = sign_changes(f)
     return f.width / float((n + 3) // 2)

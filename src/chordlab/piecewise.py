@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .intervals import DEFAULT_TOL
+from .intervals import tolerance
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,11 +87,12 @@ class PiecewiseLinearFunction:
     def scaled(self, factor: float) -> "PiecewiseLinearFunction":
         return PiecewiseLinearFunction(self.xs, self.ys * float(factor))
 
-    def shift_difference(self, s: float, tol: float = DEFAULT_TOL) -> "PiecewiseLinearFunction":
+    def shift_difference(self, s: float) -> "PiecewiseLinearFunction":
         """Exact piecewise linear representation of x -> f(x + s) - f(x),
         defined on [x_min, x_max - s]."""
         s = float(s)
-        if s < -tol or s > self.width + tol:
+        slack = tolerance(self.width)
+        if s < -slack or s > self.width + slack:
             raise ValueError(
                 f"shift {s:g} must lie in [0, {self.width:g}] for a function of that width"
             )

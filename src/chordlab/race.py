@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .builders import SmoothFunction, SmoothShapeSpec, build_levy
-from .intervals import DEFAULT_TOL
+from .intervals import tolerance
 from .oracle import ChordQueryResult, has_horizontal_chord
 from .piecewise import PiecewiseLinearFunction
 
@@ -49,8 +49,8 @@ class RaceProfile:
         pos = self.position
         if pos.xs.size < 2:
             raise ValueError("position must have at least one segment")
-        t_tol = DEFAULT_TOL * max(1.0, T)
-        d_tol = DEFAULT_TOL * max(1.0, L)
+        t_tol = tolerance(T)
+        d_tol = tolerance(L)
         if abs(pos.x_min) > t_tol or abs(pos.x_max - T) > t_tol:
             raise ValueError(
                 f"position must span [0, {T:g}], got [{pos.x_min:g}, {pos.x_max:g}]"
@@ -95,13 +95,13 @@ class RaceProfile:
             if len(pair) != 2:
                 raise ValueError(f"each split must be a (distance, time) pair, got {item!r}")
             d, t = float(pair[0]), float(pair[1])
-            if len(ts) == 1 and abs(d) <= DEFAULT_TOL and abs(t) <= DEFAULT_TOL:
+            if len(ts) == 1 and abs(d) <= tolerance(L) and abs(t) <= tolerance(T):
                 continue
             ts.append(t)
             ds.append(d)
         if len(ts) < 2:
             raise ValueError("need at least one split beyond the start")
-        if abs(ds[-1] - L) > DEFAULT_TOL * max(1.0, L) or abs(ts[-1] - T) > DEFAULT_TOL * max(1.0, T):
+        if abs(ds[-1] - L) > tolerance(L) or abs(ts[-1] - T) > tolerance(T):
             raise ValueError(
                 f"final split ({ds[-1]:g}, {ts[-1]:g}) must reach the full "
                 f"distance {L:g} and time {T:g}"
@@ -142,11 +142,19 @@ class WindowExtrema:
 def _check_window_distance(profile: RaceProfile, d: float) -> float:
     d = float(d)
     L = profile.total_distance
-    if not (d > 0):
-        raise ValueError(f"window distance must be positive, got {d!r}")
-    if d > L * (1.0 + DEFAULT_TOL):
+    if not (d > 0 and math.isfinite(L / d)):
+        raise ValueError(f"window distance must be positive, with L/d finite; got {d!r}")
+    if d > L + tolerance(L):
         raise ValueError(f"window distance {d:g} exceeds the total distance {L:g}")
     return min(d, L)
+
+
+def _whole_ratio(L: float, d: float) -> int:
+    """The whole number n that L/d matches within the tolerance of L/d,
+    or 0 when there is none."""
+    ratio = L / d
+    n = round(ratio)
+    return n if abs(ratio - n) <= tolerance(ratio) else 0
 
 
 def window_time_extrema(profile: RaceProfile, d: float) -> WindowExtrema:
@@ -163,14 +171,15 @@ def to_chord_problem(profile: RaceProfile, d: float) -> PiecewiseLinearFunction:
     """Rescale the profile so distance-d average-pace windows become
     horizontal chords of length 1.
 
-    Returns g on [0, L/d] with g(0) = g(L/d) = 0, where g(u) =
-    position(u T d / L) - d u.  A chord g(u + 1) = g(u) corresponds to
-    the window starting at time u T d / L covering exactly distance d in
-    exactly the average time T d / L."""
+    Returns g on [0, lam] with g(0) = g(lam) = 0, where lam = L/d, or the
+    whole number L/d matches (then such a chord is guaranteed), and g(u) =
+    position(u T / lam) - d u.  A chord g(u + 1) = g(u) corresponds to
+    the window starting at time u T / lam covering exactly distance d in
+    the average time T / lam."""
     d = _check_window_distance(profile, d)
     L = profile.total_distance
     T = profile.total_time
-    lam = L / d
+    lam = _whole_ratio(L, d) or L / d
     us = profile.position.xs * (lam / T)
     ys = profile.position.ys - d * us
     us = us.copy()
@@ -182,55 +191,47 @@ def to_chord_problem(profile: RaceProfile, d: float) -> PiecewiseLinearFunction:
     return PiecewiseLinearFunction(us, ys)
 
 
-def exists_average_split(
-    profile: RaceProfile, d: float, tol: float = DEFAULT_TOL
-) -> ChordQueryResult:
+def exists_average_split(profile: RaceProfile, d: float) -> ChordQueryResult:
     """Decide whether some sub-interval covers distance d at exactly the
     race's average pace.
 
     The result's ``s`` is the window duration T d / L and ``witness_x``
     the window's start time (None when no window exists).  Exact for
-    piecewise linear profiles, up to tol."""
+    piecewise linear profiles."""
     d = _check_window_distance(profile, d)
     g = to_chord_problem(profile, d)
-    res = has_horizontal_chord(g, 1.0, tol)
+    res = has_horizontal_chord(g, 1.0)
     window = profile.total_time * d / profile.total_distance
     if not res.exists:
         return ChordQueryResult(False, window)
-    t = res.witness_x * window
+    t = res.witness_x * profile.total_time / g.width
     t = min(max(t, 0.0), profile.total_time - window)
     return ChordQueryResult(True, window, t)
 
 
-def find_average_split(profile: RaceProfile, d: float, tol: float = DEFAULT_TOL) -> float:
+def find_average_split(profile: RaceProfile, d: float) -> float:
     """Start time of a distance-d window run at exactly average pace,
-    for d dividing the total distance a whole number of times.
+    for d dividing the total distance a whole number n of times.
 
     Existence is guaranteed in this case (the universal chord theorem
     applied to :func:`to_chord_problem`), and the window is the exact
-    witness of :func:`exists_average_split`.  The returned t* satisfies
-    |position(t* + T/n) - position(t*) - d| <= tol * d."""
+    witness of :func:`exists_average_split`, interpolated between two
+    vertices: position(t* + T/n) - position(t*) = d up to rounding."""
     d = _check_window_distance(profile, d)
     L = profile.total_distance
-    ratio = L / d
-    n = round(ratio)
-    if n < 1 or abs(ratio - n) > DEFAULT_TOL * max(1.0, ratio):
+    if not _whole_ratio(L, d):
         raise ValueError(
             f"total distance {L:g} is not a whole-number multiple of {d:g}; "
             "an average-pace window need not exist (use exists_average_split instead)"
         )
-    res = exists_average_split(profile, d, tol * d)
+    res = exists_average_split(profile, d)
     if not res.exists:
         raise RuntimeError("no average-pace window found for a whole-number ratio")
     return res.witness_x
 
 
 def from_chord_function(
-    g: PiecewiseLinearFunction,
-    total_distance: float,
-    total_time: float,
-    d: float,
-    tol: float = DEFAULT_TOL,
+    g: PiecewiseLinearFunction, total_distance: float, total_time: float, d: float
 ) -> RaceProfile:
     """Invert :func:`to_chord_problem`: turn a zero-ended chord function
     on [0, L/d] into a race profile whose distance-d average-pace windows
@@ -246,13 +247,13 @@ def from_chord_function(
     if not (L > 0 and T > 0 and d > 0):
         raise ValueError("total distance, total time, and window distance must be positive")
     lam = L / d
-    scale_tol = tol * max(1.0, lam)
-    if abs(g.width - lam) > scale_tol or abs(g.x_min) > scale_tol:
+    u_tol = tolerance(lam)
+    if abs(g.width - lam) > u_tol or abs(g.x_min) > u_tol:
         raise ValueError(
             f"chord function must live on [0, {lam:g}] (= L/d), got "
             f"[{g.x_min:g}, {g.x_max:g}]"
         )
-    y_tol = tol * max(1.0, L)
+    y_tol = tolerance(L)
     if abs(float(g.ys[0])) > y_tol or abs(float(g.ys[-1])) > y_tol:
         raise ValueError(
             f"chord function must vanish at both endpoints, got "
@@ -282,11 +283,7 @@ def from_chord_function(
 
 
 def build_adversarial_profile(
-    total_distance: float,
-    total_time: float,
-    d: float,
-    phi_kind: str = "triangle_wave",
-    tol: float = DEFAULT_TOL,
+    total_distance: float, total_time: float, d: float, phi_kind: str = "triangle_wave"
 ) -> RaceProfile:
     """A race profile with no distance-d sub-interval at average pace.
 
@@ -298,25 +295,28 @@ def build_adversarial_profile(
     L = float(total_distance)
     T = float(total_time)
     d = float(d)
-    if not (L > 0 and T > 0 and d > 0):
-        raise ValueError("total distance, total time, and window distance must be positive")
+    if not (L > 0 and T > 0 and d > 0 and all(map(math.isfinite, (L, T, L / d)))):
+        raise ValueError(
+            "total distance, total time, and window distance must be positive, "
+            f"with L, T and L/d finite; got L = {L:g}, T = {T:g}, d = {d:g}"
+        )
     ratio = L / d
-    if ratio <= 1.0 + 1e-12:
+    if ratio <= 1.0:
         raise ValueError(
             f"window distance {d:g} must be strictly less than the total distance {L:g}"
         )
-    if abs(ratio - round(ratio)) <= DEFAULT_TOL * max(1.0, ratio):
+    if _whole_ratio(L, d):
         raise ValueError(
             f"a distance-{d:g} window at exactly average pace is unavoidable when "
             f"{L:g} / {d:g} is a whole number; no adversarial profile exists"
         )
-    base = build_levy(ratio, 1.0, SmoothShapeSpec(phi_kind, period=1.0), tol)
+    base = build_levy(ratio, 1.0, SmoothShapeSpec(phi_kind, period=1.0))
     if isinstance(base, SmoothFunction):
         base = base.to_piecewise(8193)
     steep = float(np.max(np.abs(base.slopes())))
     base = base.scaled((0.5 * d) / steep)
-    profile = from_chord_function(base, L, T, d, tol)
-    check = exists_average_split(profile, d, tol)
+    profile = from_chord_function(base, L, T, d)
+    check = exists_average_split(profile, d)
     if check.exists:
         raise RuntimeError(
             "internal error: constructed profile still contains an average-pace window"

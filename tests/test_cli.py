@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 
 import pytest
 
@@ -132,9 +133,16 @@ class TestChords:
         assert len(found) == len(expected)
         assert max(abs(a - b) for a, b in zip(found, expected)) <= allowed
 
-    def test_tolerance_not_accepted(self, spec_path, tmp_path):
+    def test_tolerance_not_accepted(self, spec_path, miles_path, tmp_path):
+        # tolerances follow from the data; no subcommand takes the flag
+        race = ["--window", "1"]
         for argv in (
+            ["validate", spec_path],
+            ["construct", spec_path],
             ["chords", spec_path, "--output", str(tmp_path / "scan.csv")],
+            ["race-plan", "--distance", "3", "--time", "20:00", "--window", "2"],
+            ["race-find-split", miles_path] + race,
+            ["race-exists-split", miles_path] + race,
             ["plot", spec_path, "--output", str(tmp_path / "f.svg")],
         ):
             with pytest.raises(SystemExit) as exc:
@@ -163,7 +171,7 @@ class TestRaceCommands:
                 }
             )
         )
-        code = main(["race-find-split", str(path), "--window", "1", "--tolerance", "0"])
+        code = main(["race-find-split", str(path), "--window", "1"])
         assert code == 0
         assert capsys.readouterr().out == "t* = 595.511628 s\n"
 
@@ -206,6 +214,24 @@ class TestRaceCommands:
         code = main(["race-plan", "--distance", "4", "--time", "1200", "--window", "2"])
         assert code == 1
         assert "unavoidable" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["race-plan", "--distance", "inf", "--time", "20:00", "--window", "1"],
+            ["race-plan", "--distance", "3", "--time", "20:00", "--window", "1e-320"],
+            ["race-find-split", None, "--window", "1e-320"],
+            ["race-exists-split", None, "--window", "1e-320"],
+        ],
+    )
+    def test_non_finite_ratio_exits_1(self, argv, miles_path, capsys):
+        # L/d overflows to inf: an error line, no traceback and no warning
+        argv = [miles_path if a is None else a for a in argv]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "finite" in err
 
     def test_bad_duration_exits_1(self, capsys):
         code = main(["race-plan", "--distance", "3", "--time", "x", "--window", "2"])

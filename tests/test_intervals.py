@@ -1,8 +1,11 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chordlab
 from chordlab import (
     ClosedIntervalSet,
     Interval,
@@ -10,6 +13,7 @@ from chordlab import (
     boundary_projections,
     complement_components,
     is_additive,
+    tolerance,
     validate_chord_spec,
 )
 from _corpus import SAWTOOTH_PAIRS, interval_layouts
@@ -165,6 +169,13 @@ class TestValidateChordSpec:
         report = validate_chord_spec([[0, 5.0]])
         assert report.ok
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-9, 2.0**-30])
+    def test_inadditive_set_rejected_at_any_scale(self, scale):
+        # 0.95 + 1.0 lands in [1.95, 2.7], whatever the unit
+        pairs = [[0, 0.9], [1.1, 1.8], [1.95, 2.7], [3.3, 3.6], [4.4, 4.4]]
+        report = validate_chord_spec([[lo * scale, hi * scale] for lo, hi in pairs])
+        assert not report.ok
+
     def test_singleton_summary_mentions_inf(self):
         report = validate_chord_spec([[0, 0]])
         assert report.ok
@@ -221,8 +232,19 @@ def test_projection_brackets_the_point(pairs, frac):
     s = ClosedIntervalSet.from_pairs(pairs)
     x = frac * s.sup
     proj = boundary_projections(s, x)
-    assert proj.a <= x + 1e-9
-    assert proj.b >= x - 1e-9
+    slack = tolerance(s.sup)
+    assert proj.a <= x + slack
+    assert proj.b >= x - slack
     assert proj.alpha >= 0.0 and proj.beta >= 0.0
-    assert proj.a + proj.alpha == pytest.approx(x, abs=1e-9)
-    assert proj.b - proj.beta == pytest.approx(x, abs=1e-9)
+    assert proj.a + proj.alpha == pytest.approx(x, abs=slack)
+    assert proj.b - proj.beta == pytest.approx(x, abs=slack)
+
+
+def test_no_public_callable_takes_tol():
+    # one policy, derived from the data: no function or method has a knob
+    for name in chordlab.__all__:
+        obj = getattr(chordlab, name)
+        members = [getattr(obj, m) for m in vars(obj)] if inspect.isclass(obj) else [obj]
+        for fn in members:
+            if inspect.isfunction(fn) or inspect.ismethod(fn):
+                assert "tol" not in inspect.signature(fn).parameters, (name, fn.__name__)

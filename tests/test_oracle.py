@@ -86,11 +86,22 @@ class TestHasHorizontalChord:
         # g(x) = 1 - 2x on [0, 1]
         assert res.witness_x == pytest.approx(0.5, abs=1e-15)
 
+    def test_gap_lengths_absent_on_smooth_sawtooth(self, smooth_sawtooth):
+        assert not has_horizontal_chord(smooth_sawtooth, 1.0).exists
+        assert not has_horizontal_chord(smooth_sawtooth, 2.0).exists
+
+    def test_finely_sampled_smooth_sawtooth_agrees_with_exact_set(self):
+        spec = ClosedIntervalSet.from_pairs(SAWTOOTH_PAIRS)
+        f = smooth_chord_function(spec).to_piecewise(4097)
+        s = chord_set(f)
+        for length in np.linspace(0.0, f.width, 441):
+            assert has_horizontal_chord(f, length).exists == s.contains(length), length
+
     def test_tiny_values_agree_with_exact_set(self, smooth_sawtooth):
         s = chord_set(smooth_sawtooth)
         for length in np.linspace(0.0, smooth_sawtooth.width, 441):
-            got = has_horizontal_chord(smooth_sawtooth, length, 0.0).exists
-            assert got == s.contains(length, 0.0), length
+            got = has_horizontal_chord(smooth_sawtooth, length).exists
+            assert got == s.contains(length), length
 
 
 class TestChordSet:
@@ -198,15 +209,17 @@ class TestSignChanges:
         f = PiecewiseLinearFunction(np.array([0.0, 1.0, 2.0]), np.array([0.0, 0.0, 0.0]))
         assert sign_changes(f) == 0
 
-    def test_small_wiggles_swallowed_by_tolerance(self):
+    def test_small_wiggles_counted_exactly(self):
+        # the chord set is [0, 1.999999999999] and {3}: the wiggle keeps
+        # lengths in (2, 3) out, so it must count and cap the Levit bound
         f = PiecewiseLinearFunction(
             np.array([0.0, 1.0, 2.0, 3.0]), np.array([0.0, 1.0, -1e-12, 0.0])
         )
-        assert sign_changes(f) == 0
-        assert sign_changes(f, tol=1e-15) == 1
+        assert sign_changes(f) == 1
+        assert levit_bound(f) == 1.5
 
     def test_tiny_values_counted_by_sign(self, smooth_sawtooth):
-        assert sign_changes(smooth_sawtooth, 0.0) == 7
+        assert sign_changes(smooth_sawtooth) == 7
 
     def test_single_lobe(self):
         f = PiecewiseLinearFunction(np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 0.0]))
@@ -216,6 +229,10 @@ class TestSignChanges:
 class TestLevitBound:
     def test_golden_value(self, sawtooth_fn):
         assert levit_bound(sawtooth_fn) == pytest.approx(4.4 / 5, rel=1e-12)
+
+    def test_smooth_sawtooth(self, smooth_sawtooth):
+        # 7 sign changes, as for the tent version: below the gap (0.906, 1.096)
+        assert levit_bound(smooth_sawtooth) == pytest.approx(4.4 / 5, rel=1e-12)
 
     def test_single_lobe_gets_full_width(self):
         f = PiecewiseLinearFunction(np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 0.0]))

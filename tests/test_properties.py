@@ -1,6 +1,7 @@
 """Properties tying the exact chord set to the other layers: point
 queries, the Hopf construction, the additivity of the complement and
-JSON round trips; and the validator's verdict to additivity alone."""
+JSON round trips; the validator's verdict to additivity alone; and every
+answer to the units of its input."""
 
 import json
 
@@ -11,8 +12,10 @@ from hypothesis import strategies as st
 from chordlab import (
     ClosedIntervalSet,
     PiecewiseLinearFunction,
+    RaceProfile,
     build_hopf,
     chord_set,
+    exists_average_split,
     function_to_obj,
     has_horizontal_chord,
     is_additive,
@@ -20,9 +23,17 @@ from chordlab import (
     smooth_samples_to_obj,
     validate_chord_spec,
 )
-from _corpus import interval_layouts, random_chord_set, random_zero_ended_pl
+from _corpus import (
+    interval_layouts,
+    random_bounded_profile,
+    random_chord_set,
+    random_integer_ratio_profile,
+    random_zero_ended_pl,
+)
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
+# powers of two rescale binary floats exactly, so no answer may change
+powers = st.integers(min_value=-40, max_value=30)
 
 
 def tied_pl(rng: np.random.Generator) -> PiecewiseLinearFunction:
@@ -51,7 +62,7 @@ def test_agrees_with_point_queries(seed):
         for length in np.concatenate([np.linspace(0.0, w, 41), rng.uniform(0.0, w, 20)]):
             if np.min(np.abs(boundary - length)) <= 1e-9 * w:
                 continue
-            assert s.contains(length, 0.0) == has_horizontal_chord(f, length).exists, length
+            assert s.contains(length) == has_horizontal_chord(f, length).exists, length
 
 
 @settings(max_examples=30, deadline=None)
@@ -103,3 +114,57 @@ def test_validator_verdict_is_additivity(pairs):
 @given(seeds)
 def test_validator_accepts_admissible_sets(seed):
     _verdicts_agree(random_chord_set(np.random.default_rng(seed)).to_pairs())
+
+
+def _scaled(pairs, k):
+    return [[lo * 2.0**k, hi * 2.0**k] for lo, hi in pairs]
+
+
+@settings(max_examples=100, deadline=None)
+@given(interval_layouts(), powers)
+def test_validator_verdict_is_scale_invariant(pairs, k):
+    assert validate_chord_spec(_scaled(pairs, k)).ok == validate_chord_spec(pairs).ok
+
+
+@settings(max_examples=30, deadline=None)
+@given(seeds, powers)
+def test_admissible_sets_stay_admissible_at_any_scale(seed, k):
+    pairs = random_chord_set(np.random.default_rng(seed)).to_pairs()
+    assert validate_chord_spec(_scaled(pairs, k)).ok
+
+
+@settings(max_examples=30, deadline=None)
+@given(seeds, powers)
+def test_hopf_chords_are_scale_invariant(seed, k):
+    rng = np.random.default_rng(seed)
+    spec = random_chord_set(rng)
+    f, g = build_hopf(spec), build_hopf(_scaled(spec.to_pairs(), k))
+    boundary = np.array(spec.boundary)
+    for length in rng.uniform(0.0, spec.sup, 40):
+        if np.min(np.abs(boundary - length)) <= 1e-6 * spec.sup:
+            continue
+        a, b = has_horizontal_chord(f, length), has_horizontal_chord(g, length * 2.0**k)
+        assert a.exists == b.exists, length
+        if a.exists:
+            assert b.witness_x == a.witness_x * 2.0**k
+
+
+def _rescaled(p: RaceProfile, a: int, b: int) -> RaceProfile:
+    pos = PiecewiseLinearFunction(p.position.xs * 2.0**b, p.position.ys * 2.0**a)
+    return RaceProfile(p.total_distance * 2.0**a, p.total_time * 2.0**b, pos)
+
+
+@settings(max_examples=50, deadline=None)
+@given(seeds, powers, powers)
+def test_average_split_is_unit_free(seed, a, b):
+    # distance and time each in their own unit; the witness moves with time
+    rng = np.random.default_rng(seed)
+    whole, d, _ = random_integer_ratio_profile(rng)
+    other = random_bounded_profile(rng)
+    for p, dist in ((whole, d), (other, other.total_distance / rng.uniform(1.2, 4.5))):
+        want = exists_average_split(p, dist)
+        got = exists_average_split(_rescaled(p, a, b), dist * 2.0**a)
+        assert got.exists == want.exists
+        assert got.s == want.s * 2.0**b
+        if want.exists:
+            assert got.witness_x == want.witness_x * 2.0**b

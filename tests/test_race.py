@@ -194,6 +194,14 @@ class TestFindAverageSplit:
     def test_whole_race_window(self, three_miles):
         assert find_average_split(three_miles, 3.0) == 0.0
 
+    def test_ratio_matching_a_whole_number(self):
+        # fast first and last miles: no window covers exactly d, a hair
+        # under L, but L/d matches 1, so the whole-race window is found
+        p = RaceProfile.from_splits(3.0, 1080.0, [(1.0, 300.0), (2.0, 780.0), (3.0, 1080.0)])
+        d = 3.0 * (1 - 1e-12)
+        assert find_average_split(p, d) == 0.0
+        assert exists_average_split(p, d).exists
+
     def test_non_integer_ratio_rejected(self, three_miles):
         with pytest.raises(ValueError, match="whole-number multiple"):
             find_average_split(three_miles, 2.0)
