@@ -31,6 +31,7 @@ from .intervals import (
     complement_components,
     tolerance,
     validate_chord_spec,
+    whole_ratio,
 )
 from .piecewise import PiecewiseLinearFunction
 
@@ -84,27 +85,24 @@ class SmoothShapeSpec:
 
 @dataclass(frozen=True)
 class SmoothFunction:
-    """Closed-form function on [x_min, x_max], evaluated pointwise.
+    """Closed-form function on [x_min, x_max].
 
-    ``to_piecewise`` samples it onto a piecewise linear approximation so
-    the exact chord machinery can be applied; the result is approximate,
-    with error controlled by the sample count.
+    ``fn`` is called once per evaluation with the whole float64 array of
+    points (0-d for a scalar) and must return values of the same shape;
+    a scalar call returns a ``float``.  ``to_piecewise`` samples it onto
+    a piecewise linear approximation so the exact chord machinery can be
+    applied; the result is approximate, with error controlled by the
+    sample count.
     """
 
-    fn: Callable[[float], float]
+    fn: Callable[[np.ndarray], np.ndarray]
     x_min: float
     x_max: float
 
     def __call__(self, x):
         arr = np.asarray(x, dtype=np.float64)
-        scalar = arr.ndim == 0
-        flat = np.atleast_1d(arr).ravel()
-        out = np.empty(flat.shape)
-        for i, xv in enumerate(flat):
-            out[i] = self.fn(float(xv))
-        if scalar:
-            return float(out[0])
-        return out.reshape(np.atleast_1d(arr).shape)
+        out = np.asarray(self.fn(arr), dtype=np.float64)
+        return float(out) if arr.ndim == 0 else out
 
     @property
     def width(self) -> float:
@@ -265,23 +263,18 @@ def build_levy(
         raise ValueError(
             f"shape period {shape.period:g} must equal the avoided length {h:g}"
         )
-    phi_end = float(shape(w))
-    if abs(phi_end) <= tolerance(shape.amplitude):
+    if whole_ratio(w, h):
         raise ValueError(
             f"cannot avoid chords of length {h:g}: the width {w:g} is an integer "
             f"multiple of {h:g}, and such a chord always exists (universal chord theorem)"
         )
-    slope = phi_end / w
+    slope = float(shape(w)) / w
     if shape.kind == "triangle_wave":
-        guard = tolerance(w)
+        # Corners at multiples of h/2 below w, then w itself, where f is 0.
         half = 0.5 * h
-        k = np.arange(int(math.floor((w - guard) / half)) + 2)
-        xs_all = k * half
-        mask = xs_all < w - guard
-        k = k[mask]
-        xs_core = xs_all[mask]
-        ys_core = shape.amplitude * (k % 2) - xs_core * slope
-        xs = np.append(xs_core, w)
-        ys = np.append(ys_core, 0.0)
+        k = np.arange(int(math.ceil(w / half)) + 1)
+        k = k[k * half < w]
+        xs = np.append(k * half, w)
+        ys = np.append(shape.amplitude * (k % 2) - k * half * slope, 0.0)
         return PiecewiseLinearFunction(xs, ys)
-    return SmoothFunction(lambda t: float(shape(t)) - t * slope, 0.0, w)
+    return SmoothFunction(lambda t: shape(t) - t * slope, 0.0, w)

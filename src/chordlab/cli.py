@@ -8,13 +8,13 @@ argparse keeps its usual exit 2 for malformed invocations.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from .builders import build_hopf, smooth_chord_function
 from .intervals import validate_chord_spec
 from .io import (
+    format_json,
     function_to_obj,
     interval_set_to_obj,
     load_json,
@@ -56,7 +56,7 @@ def parse_duration(text: str) -> float:
 
 def _emit(obj: dict, output: str | None) -> None:
     if output is None:
-        print(json.dumps(obj, indent=2))
+        sys.stdout.write(format_json(obj))
     else:
         save_json(obj, output)
         print(f"wrote {output}")

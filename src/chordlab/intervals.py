@@ -30,6 +30,14 @@ def tolerance(*scales: float) -> float:
     return RTOL * max(abs(float(x)) for x in scales)
 
 
+def whole_ratio(total: float, part: float) -> int:
+    """The whole number n that total/part matches within the tolerance
+    of total/part, or 0 when there is none."""
+    ratio = total / part
+    n = round(ratio)
+    return n if abs(ratio - n) <= tolerance(ratio) else 0
+
+
 class ValidationError(ValueError):
     """Raised when a candidate chord set is malformed or inadmissible."""
 

@@ -3,6 +3,20 @@ output for chord scans; a small deterministic SVG writer for plots.
 
 All emitted numbers are rounded to 12 significant digits, which keeps
 files diff-friendly and makes round trips exact for short-decimal data.
+:func:`format_json` lays a JSON object out with one top-level key per
+line, indented by two spaces, and a list of rows such as ``[x, y]``
+pairs with one row per line, indented by four::
+
+    {
+      "kind": "smooth",
+      "samples": [
+        [0.0, 0.0],
+        [0.0044, -0.0]
+      ]
+    }
+
+It is built on json's C encoder (``indent`` would switch that off), so
+large sample lists are written several times faster.
 """
 
 from __future__ import annotations
@@ -109,8 +123,20 @@ def load_json(path) -> dict:
         raise ValueError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def format_json(obj: dict) -> str:
+    """JSON text for a top-level object in the layout of this module's
+    docstring, ending in a newline."""
+    lines = []
+    for key, value in obj.items():
+        text = json.dumps(value)
+        if text.startswith("[[") and '"' not in text:
+            text = "[\n    " + text[1:-1].replace("], [", "],\n    [") + "\n  ]"
+        lines.append(f"  {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(lines) + "\n}\n"
+
+
 def save_json(obj: dict, path) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2) + "\n")
+    Path(path).write_text(format_json(obj))
 
 
 def write_chord_scan(scan: ChordScan, path) -> tuple[Path, Path]:

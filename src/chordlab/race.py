@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .builders import SmoothFunction, SmoothShapeSpec, build_levy
-from .intervals import tolerance
+from .intervals import tolerance, whole_ratio
 from .oracle import ChordQueryResult, has_horizontal_chord
 from .piecewise import PiecewiseLinearFunction
 
@@ -149,14 +149,6 @@ def _check_window_distance(profile: RaceProfile, d: float) -> float:
     return min(d, L)
 
 
-def _whole_ratio(L: float, d: float) -> int:
-    """The whole number n that L/d matches within the tolerance of L/d,
-    or 0 when there is none."""
-    ratio = L / d
-    n = round(ratio)
-    return n if abs(ratio - n) <= tolerance(ratio) else 0
-
-
 def window_time_extrema(profile: RaceProfile, d: float) -> WindowExtrema:
     """Fastest and slowest time over any sub-interval covering distance d.
 
@@ -179,7 +171,7 @@ def to_chord_problem(profile: RaceProfile, d: float) -> PiecewiseLinearFunction:
     d = _check_window_distance(profile, d)
     L = profile.total_distance
     T = profile.total_time
-    lam = _whole_ratio(L, d) or L / d
+    lam = whole_ratio(L, d) or L / d
     us = profile.position.xs * (lam / T)
     ys = profile.position.ys - d * us
     us = us.copy()
@@ -219,7 +211,7 @@ def find_average_split(profile: RaceProfile, d: float) -> float:
     vertices: position(t* + T/n) - position(t*) = d up to rounding."""
     d = _check_window_distance(profile, d)
     L = profile.total_distance
-    if not _whole_ratio(L, d):
+    if not whole_ratio(L, d):
         raise ValueError(
             f"total distance {L:g} is not a whole-number multiple of {d:g}; "
             "an average-pace window need not exist (use exists_average_split instead)"
@@ -282,6 +274,18 @@ def from_chord_function(
     return RaceProfile(L, T, PiecewiseLinearFunction(ts, dist))
 
 
+def _shift_closed_grid(w: float) -> np.ndarray:
+    """Sample points {k/m} and {w - k/m} in [0, w], m a power of two with
+    w * m <= 4096 where possible.
+
+    The grid is closed under shifts by +-1 inside [0, w], so a polyline
+    sampled on it has unit increments that interpolate the sampled
+    function's own, at most 8193 points for w <= 4096."""
+    m = 2.0 ** max(0, math.floor(math.log2(4096.0 / w)))
+    ks = np.arange(math.floor(w * m) + 1) / m
+    return np.unique(np.concatenate([ks, w - ks]))
+
+
 def build_adversarial_profile(
     total_distance: float, total_time: float, d: float, phi_kind: str = "triangle_wave"
 ) -> RaceProfile:
@@ -305,14 +309,15 @@ def build_adversarial_profile(
         raise ValueError(
             f"window distance {d:g} must be strictly less than the total distance {L:g}"
         )
-    if _whole_ratio(L, d):
+    if whole_ratio(L, d):
         raise ValueError(
             f"a distance-{d:g} window at exactly average pace is unavoidable when "
             f"{L:g} / {d:g} is a whole number; no adversarial profile exists"
         )
     base = build_levy(ratio, 1.0, SmoothShapeSpec(phi_kind, period=1.0))
     if isinstance(base, SmoothFunction):
-        base = base.to_piecewise(8193)
+        xs = _shift_closed_grid(ratio)
+        base = PiecewiseLinearFunction(xs, base(xs))
     steep = float(np.max(np.abs(base.slopes())))
     base = base.scaled((0.5 * d) / steep)
     profile = from_chord_function(base, L, T, d)

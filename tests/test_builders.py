@@ -17,6 +17,7 @@ from chordlab import (
     has_horizontal_chord,
     smooth_chord_function,
 )
+from chordlab.intervals import whole_ratio
 from _corpus import SAWTOOTH_PAIRS
 
 EXPECTED_SAWTOOTH_BREAKPOINTS = [
@@ -155,6 +156,52 @@ class TestEvalGeneralized:
             eval_generalized(sawtooth_set, lambda a, b: min(a, b), 0.45)
 
 
+class TestSmoothFunction:
+    def test_fn_runs_once_per_call(self):
+        calls = []
+
+        def fn(x):
+            calls.append(x.shape)
+            return 2.0 * x
+
+        sf = SmoothFunction(fn, 0.0, 1.0)
+        np.testing.assert_array_equal(sf(np.linspace(0.0, 1.0, 1000)), np.linspace(0.0, 2.0, 1000))
+        sf.to_piecewise(4097)
+        assert sf(0.25) == 0.5
+        assert calls == [(1000,), (4097,), ()]
+
+    def test_scalar_returns_float(self, sawtooth_set):
+        levy = build_levy(2.5, 1.0, SmoothShapeSpec("sin_squared", period=1.0))
+        for sf in (levy, smooth_chord_function(sawtooth_set)):
+            assert type(sf(0.45)) is float
+            assert type(sf(np.float64(0.45))) is float
+
+    def test_keeps_shape(self, sawtooth_set):
+        x = np.linspace(0.0, 2.4, 12).reshape(3, 4)
+        levy = build_levy(2.5, 1.0, SmoothShapeSpec("sin_squared", period=1.0))
+        for sf in (levy, smooth_chord_function(sawtooth_set)):
+            out = sf(x)
+            assert out.shape == (3, 4)
+            np.testing.assert_array_equal(out.ravel(), sf(x.ravel()))
+
+    def test_levy_array_equals_pointwise_bitwise(self):
+        rng = np.random.default_rng(66)
+        for _ in range(20):
+            h = float(rng.uniform(0.2, 2.0))
+            w = h * float(rng.uniform(1.1, 9.9))
+            shape = SmoothShapeSpec("sin_squared", period=h, amplitude=float(rng.uniform(0.3, 3.0)))
+            f = build_levy(w, h, shape)
+            xs, ys = f.sample(257)
+            pointwise = np.array([f(float(x)) for x in xs])
+            assert ys.tobytes() == pointwise.tobytes()
+
+    def test_smooth_sawtooth_array_equals_pointwise_bitwise(self, sawtooth_set):
+        sf = smooth_chord_function(sawtooth_set)
+        xs, ys = sf.sample(1001)
+        pointwise = np.array([sf(float(x)) for x in xs])
+        assert ys.tobytes() == pointwise.tobytes()
+
+
 class TestSmoothChordFunction:
     def test_wraps_eval(self, sawtooth_set):
         sf = smooth_chord_function(sawtooth_set)
@@ -216,6 +263,24 @@ class TestBuildLevy:
             build_levy(3.0, 1.0)
         with pytest.raises(ValueError, match="universal chord theorem"):
             build_levy(2.0, 0.5)
+
+    @pytest.mark.parametrize("kind", ["triangle_wave", "sin_squared"])
+    @pytest.mark.parametrize("w", [3.0001, 3.00003, 3.000001])
+    def test_near_whole_width_agrees_with_whole_ratio(self, kind, w):
+        # the same test of "w is a whole multiple of h" as the race module
+        assert whole_ratio(w, 1.0) == 0
+        f = build_levy(w, 1.0, SmoothShapeSpec(kind, period=1.0))
+        assert f(0.0) == 0.0
+        assert whole_ratio(3.0 + 1e-10, 1.0) == 3
+        with pytest.raises(ValueError, match="universal chord theorem"):
+            build_levy(3.0 + 1e-10, 1.0, SmoothShapeSpec(kind, period=1.0))
+
+    def test_triangle_keeps_corner_next_to_width(self):
+        # a corner just inside w is a real corner of f, however close
+        w = 1.0 + 1e-9
+        f = build_levy(w, 1.0)
+        np.testing.assert_array_equal(f.xs, [0.0, 0.5, 1.0, w])
+        assert not has_horizontal_chord(f, 1.0).exists
 
     def test_width_must_exceed_h(self):
         with pytest.raises(ValueError, match="width > h > 0"):

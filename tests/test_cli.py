@@ -1,9 +1,22 @@
+import contextlib
 import csv
+import io
 import json
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from chordlab import (
+    ClosedIntervalSet,
+    build_adversarial_profile,
+    build_hopf,
+    function_to_obj,
+    profile_to_obj,
+    smooth_chord_function,
+    smooth_samples_to_obj,
+)
 from chordlab.cli import main, parse_duration
 from _corpus import SAWTOOTH_PAIRS
 
@@ -237,6 +250,80 @@ class TestRaceCommands:
         code = main(["race-plan", "--distance", "3", "--time", "x", "--window", "2"])
         assert code == 1
         assert "duration" in capsys.readouterr().err
+
+
+class TestRacePlanRoundTrip:
+    """race-plan, then race-exists-split on the written file, prints none.
+
+    The file keeps 12 significant digits, and for sin^2 the unit
+    increment shrinks like the square of the distance to a whole ratio,
+    so that distance must stay above about 1e-5 (see README)."""
+
+    @staticmethod
+    def _round_trip(tmp_path, L, T, d, shape):
+        plan = tmp_path / "plan.json"
+        argv = ["race-plan", "--distance", repr(L), "--time", repr(T), "--window", repr(d)]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv + ["--shape", shape, "--output", str(plan)]) == 0
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["race-exists-split", str(plan), "--window", repr(d)])
+        assert (code, out.getvalue()) == (3, "none\n")
+
+    @pytest.mark.parametrize(
+        "shape, L",
+        [("sin2", 3.0001), ("sin2", 3.00003), ("triangle", 3.0001), ("triangle", 3.00003),
+         ("triangle", 3.000001)],
+    )
+    def test_near_whole_ratios(self, tmp_path, shape, L):
+        self._round_trip(tmp_path, L, 1000.0, 1.0, shape)
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        st.sampled_from(["sin2", "triangle"]),
+        st.integers(min_value=1, max_value=8),
+        st.floats(min_value=1e-4, max_value=1.0 - 1e-4),
+        st.floats(min_value=0.05, max_value=50.0),
+        st.floats(min_value=10.0, max_value=20000.0),
+    )
+    def test_random_non_whole_ratios(self, tmp_path_factory, shape, n, frac, d, T):
+        self._round_trip(tmp_path_factory.mktemp("plan"), (n + frac) * d, T, d, shape)
+
+
+class TestJsonOutput:
+    """stdout and --output carry the same text, one [x, y] row per line,
+    parsing to the values of the library objects."""
+
+    @pytest.mark.parametrize(
+        "argv, build",
+        [
+            (["construct", None], lambda: function_to_obj(build_hopf(SAWTOOTH_PAIRS))),
+            (
+                ["construct", None, "--shape", "smooth", "--resolution", "0.044"],
+                lambda: smooth_samples_to_obj(
+                    *smooth_chord_function(ClosedIntervalSet.from_pairs(SAWTOOTH_PAIRS)).sample(101)
+                ),
+            ),
+            (
+                ["race-plan", "--distance", "5", "--time", "1500", "--window", "2", "--shape", "sin2"],
+                lambda: profile_to_obj(build_adversarial_profile(5.0, 1500.0, 2.0, "sin_squared")),
+            ),
+        ],
+    )
+    def test_stdout_and_file(self, spec_path, tmp_path, capsys, argv, build):
+        argv = [spec_path if a is None else a for a in argv]
+        assert main(argv) == 0
+        text = capsys.readouterr().out
+        want = build()
+        assert json.loads(text) == json.loads(json.dumps(want, indent=2))
+        table = next(v for v in want.values() if isinstance(v, list))
+        rows = [line.rstrip(",") for line in text.splitlines() if line.startswith("    [")]
+        assert [json.loads(row) for row in rows] == json.loads(json.dumps(table))
+        out = tmp_path / "out.json"
+        assert main(argv + ["--output", str(out)]) == 0
+        assert capsys.readouterr().out == f"wrote {out}\n"
+        assert out.read_text() == text
 
 
 class TestPlot:

@@ -18,6 +18,7 @@ from chordlab.io import (
     parse_function,
     parse_interval_set,
     parse_profile,
+    format_json,
     profile_to_obj,
     save_json,
     smooth_samples_to_obj,
@@ -97,6 +98,56 @@ class TestProfileJson:
     def test_bad_totals(self):
         with pytest.raises(ValueError, match="numbers"):
             parse_profile({"total_distance": "x", "total_time": 1.0, "splits": []})
+
+
+def _layout_objects():
+    f = build_hopf(SAWTOOTH_PAIRS)
+    xs = np.linspace(0.0, 4.4, 9)
+    p = RaceProfile.from_splits(3.0, 1080.0, [(1.0, 330.0), (2.0, 720.0), (3.0, 1080.0)])
+    return [
+        interval_set_to_obj(ClosedIntervalSet.from_pairs(SAWTOOTH_PAIRS)),
+        function_to_obj(f),
+        smooth_samples_to_obj(xs, np.sin(xs) * 1e-7),
+        profile_to_obj(p),
+    ]
+
+
+class TestFormatJson:
+    @pytest.mark.parametrize("obj", _layout_objects())
+    def test_parses_to_indented_dump(self, obj, tmp_path):
+        # the same values as json.dumps(obj, indent=2), the former layout
+        path = tmp_path / "obj.json"
+        save_json(obj, path)
+        assert path.read_text() == format_json(obj)
+        assert json.loads(format_json(obj)) == json.loads(json.dumps(obj, indent=2))
+
+    @pytest.mark.parametrize("obj", _layout_objects())
+    def test_one_row_per_line(self, obj):
+        lines = format_json(obj).splitlines()
+        rows = [line for line in lines if line.startswith("    [")]
+        table = next(v for v in obj.values() if isinstance(v, list))
+        assert [json.loads(r.rstrip(",")) for r in rows] == table
+        # braces, one line per key and the closing bracket of the table
+        assert len(lines) == 2 + len(obj) + len(table) + 1
+
+    def test_golden_layout(self):
+        obj = {"kind": "smooth", "samples": [[0.0, 0.0], [0.5, -0.25]], "empty": []}
+        assert format_json(obj) == (
+            "{\n"
+            '  "kind": "smooth",\n'
+            '  "samples": [\n'
+            "    [0.0, 0.0],\n"
+            "    [0.5, -0.25]\n"
+            "  ],\n"
+            '  "empty": []\n'
+            "}\n"
+        )
+
+    def test_strings_inside_rows_left_on_one_line(self):
+        obj = {"rows": [["], [", 1], ["x", 2]]}
+        text = format_json(obj)
+        assert json.loads(text) == obj
+        assert len(text.splitlines()) == 3
 
 
 class TestJsonFiles:

@@ -307,6 +307,36 @@ class TestBuildAdversarialProfile:
         profile = build_adversarial_profile(5.0, 1500.0, 2.0, phi_kind="sin_squared")
         assert not exists_average_split(profile, 2.0).exists
 
+    @pytest.mark.parametrize("kind", ["triangle_wave", "sin_squared"])
+    @pytest.mark.parametrize("L", [3.0001, 3.00003, 3.000001])
+    def test_near_whole_ratio(self, kind, L):
+        # the sin^2 polyline used to keep a unit chord here (3.0001,
+        # 3.00003) or be refused as whole (3.000001)
+        profile = build_adversarial_profile(L, 1000.0, 1.0, phi_kind=kind)
+        assert not exists_average_split(profile, 1.0).exists
+
+    def test_triangle_just_off_the_whole_ratio_tolerance(self):
+        profile = build_adversarial_profile(1.0 + 1e-9, 1000.0, 1.0)
+        assert not exists_average_split(profile, 1.0).exists
+
+    def test_sin_squared_grid_is_shift_closed(self):
+        # sampled at k/m and W - k/m, so the unit increments of the
+        # polyline take the constant -phi(W)/W at every vertex
+        profile = build_adversarial_profile(3.0001, 1000.0, 1.0, phi_kind="sin_squared")
+        g = to_chord_problem(profile, 1.0)
+        assert g.xs.size == 6146
+        inc = g(g.xs[g.xs <= g.x_max - 1.0] + 1.0) - g(g.xs[g.xs <= g.x_max - 1.0])
+        assert np.all(inc < 0)
+        np.testing.assert_allclose(inc, np.median(inc), rtol=1e-4)
+
+    def test_sin_squared_sample_count(self):
+        # never more than the 8193 uniform samples it replaced, for W <= 4096
+        for L in (1.5, 5.43, 7.9, 1000.3, 4095.7):
+            profile = build_adversarial_profile(L, 100.0 * L, 1.0, phi_kind="sin_squared")
+            assert profile.position.xs.size <= 8193
+        profile = build_adversarial_profile(5.43, 543.0, 1.0, phi_kind="sin_squared")
+        assert profile.position.xs.size == 5562
+
     def test_whole_ratio_rejected(self):
         with pytest.raises(ValueError, match="unavoidable"):
             build_adversarial_profile(4.0, 1200.0, 2.0)
