@@ -270,10 +270,11 @@ def build_levy(
         )
     slope = float(shape(w)) / w
     if shape.kind == "triangle_wave":
-        # Corners at multiples of h/2 below w, then w itself, where f is 0.
+        # Corners at multiples of h/2 more than the tolerance below w, then
+        # w itself, where f is 0; a corner closer than that merges into w.
         half = 0.5 * h
         k = np.arange(int(math.ceil(w / half)) + 1)
-        k = k[k * half < w]
+        k = k[w - k * half > tolerance(w)]
         xs = np.append(k * half, w)
         ys = np.append(shape.amplitude * (k % 2) - k * half * slope, 0.0)
         return PiecewiseLinearFunction(xs, ys)

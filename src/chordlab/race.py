@@ -280,10 +280,15 @@ def _shift_closed_grid(w: float) -> np.ndarray:
 
     The grid is closed under shifts by +-1 inside [0, w], so a polyline
     sampled on it has unit increments that interpolate the sampled
-    function's own, at most 8193 points for w <= 4096."""
+    function's own, at most 8193 points for w <= 4096.  When w is a
+    multiple of 1/m up to rounding, w - k/m lands within the tolerance
+    of (w m - k)/m; such pairs are merged, keeping w itself as the end."""
     m = 2.0 ** max(0, math.floor(math.log2(4096.0 / w)))
     ks = np.arange(math.floor(w * m) + 1) / m
-    return np.unique(np.concatenate([ks, w - ks]))
+    xs = np.unique(np.concatenate([ks, w - ks]))
+    xs = xs[np.concatenate(([True], np.diff(xs) > tolerance(w)))]
+    xs[-1] = w
+    return xs
 
 
 def build_adversarial_profile(

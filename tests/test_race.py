@@ -315,6 +315,19 @@ class TestBuildAdversarialProfile:
         profile = build_adversarial_profile(L, 1000.0, 1.0, phi_kind=kind)
         assert not exists_average_split(profile, 1.0).exists
 
+    @pytest.mark.parametrize("kind", ["triangle_wave", "sin_squared"])
+    @pytest.mark.parametrize(
+        "L, d",
+        [(9.516045842151563, 3.8064183368606255), (5.5 * 1.8064183368606255, 1.8064183368606255)],
+    )
+    def test_ratio_a_rounding_off_a_dyadic_width(self, kind, L, d):
+        # L/d is 2.5 or 5.5 give or take one ulp: grid points and corners
+        # closer than the tolerance to another one must merge, or the
+        # profile stalls on a segment of zero length
+        profile = build_adversarial_profile(L, 10.0, d, phi_kind=kind)
+        assert np.all(np.diff(profile.position.xs) > 0)
+        assert not exists_average_split(profile, d).exists
+
     def test_triangle_just_off_the_whole_ratio_tolerance(self):
         profile = build_adversarial_profile(1.0 + 1e-9, 1000.0, 1.0)
         assert not exists_average_split(profile, 1.0).exists
