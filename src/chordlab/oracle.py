@@ -22,9 +22,13 @@ from .piecewise import PiecewiseLinearFunction
 
 @dataclass(frozen=True)
 class ChordQueryResult:
+    """Answer to a chord query; ``vertices`` counts the distinct vertices
+    of the shifted difference built before the answer was known."""
+
     exists: bool
     s: float
     witness_x: float | None = None
+    vertices: int = 0
 
     @property
     def witness_pair(self) -> tuple[float, float] | None:
@@ -39,6 +43,11 @@ def has_horizontal_chord(f: PiecewiseLinearFunction, s: float) -> ChordQueryResu
     Returns the leftmost witness x.  A vertex of the shifted difference
     counts as a zero when its value is exactly 0.0; between vertices a
     sign change pins an exact interpolated root.
+
+    The shifted difference is built left to right in blocks that double
+    in size, and the scan stops at the first block holding a zero or a
+    sign change.  So the cost grows with the witness's position, and the
+    worst case, no chord at all, is one pass over the whole difference.
     """
     s = float(s)
     slack = tolerance(f.width)
@@ -47,23 +56,24 @@ def has_horizontal_chord(f: PiecewiseLinearFunction, s: float) -> ChordQueryResu
             f"chord length {s:g} must lie in [0, {f.width:g}] for this function"
         )
     s = min(max(s, 0.0), f.width)
-    g = f.shift_difference(s)
-    ys = g.ys
-    zero_idx = np.flatnonzero(ys == 0.0)
-    first_zero = int(zero_idx[0]) if zero_idx.size else None
-    # sign bits, not products: a product of tiny values underflows to -0.0
-    neg = np.signbit(ys)
-    cross_idx = np.flatnonzero((neg[:-1] != neg[1:]) & (ys[:-1] != 0) & (ys[1:] != 0))
-    first_cross = int(cross_idx[0]) if cross_idx.size else None
-    if first_zero is None and first_cross is None:
-        return ChordQueryResult(False, s)
-    if first_zero is not None and (first_cross is None or first_zero <= first_cross):
-        return ChordQueryResult(True, s, float(g.xs[first_zero]))
-    i = first_cross
-    x0, x1 = float(g.xs[i]), float(g.xs[i + 1])
-    y0, y1 = float(ys[i]), float(ys[i + 1])
-    witness = x0 - y0 * (x1 - x0) / (y1 - y0)
-    return ChordQueryResult(True, s, witness)
+    vertices = 0
+    xs = ys = np.empty(0)
+    for bx, by in f._shift_difference_blocks(s):
+        vertices += bx.size
+        # keep the previous block's last vertex: a sign change may span the cut
+        xs, ys = np.concatenate((xs[-1:], bx)), np.concatenate((ys[-1:], by))
+        zero_idx = np.flatnonzero(ys == 0.0)
+        # sign bits, not products: a product of tiny values underflows to -0.0
+        neg = np.signbit(ys)
+        cross_idx = np.flatnonzero((neg[:-1] != neg[1:]) & (ys[:-1] != 0) & (ys[1:] != 0))
+        if zero_idx.size and (not cross_idx.size or zero_idx[0] <= cross_idx[0]):
+            return ChordQueryResult(True, s, float(xs[zero_idx[0]]), vertices)
+        if cross_idx.size:
+            i = cross_idx[0]
+            x0, x1 = float(xs[i]), float(xs[i + 1])
+            y0, y1 = float(ys[i]), float(ys[i + 1])
+            return ChordQueryResult(True, s, x0 - y0 * (x1 - x0) / (y1 - y0), vertices)
+    return ChordQueryResult(False, s, None, vertices)
 
 
 _BLOCK_CELLS = 1 << 16  # cells per row block; bounds peak memory

@@ -15,6 +15,8 @@ import numpy as np
 
 from .intervals import tolerance
 
+_FIRST_BLOCK = 1024  # breakpoints of f in the first block of a shift difference
+
 
 @dataclass(frozen=True, eq=False)
 class PiecewiseLinearFunction:
@@ -45,10 +47,13 @@ class PiecewiseLinearFunction:
                     f"xs must be strictly increasing; xs[{i}] = {xs[i]:g} is not "
                     f"below xs[{i + 1}] = {xs[i + 1]:g}"
                 )
-        xs.setflags(write=False)
-        ys.setflags(write=False)
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "ys", ys)
+        # np.interp copies an array it may not write to on every call, which
+        # at 10^5 breakpoints costs far more than a short query.  So np.interp
+        # reads the private writeable owners, and callers get read-only views.
+        object.__setattr__(self, "_xs", xs)
+        object.__setattr__(self, "_ys", ys)
+        object.__setattr__(self, "xs", _read_only(xs))
+        object.__setattr__(self, "ys", _read_only(ys))
 
     @classmethod
     def from_breakpoints(cls, points) -> "PiecewiseLinearFunction":
@@ -73,7 +78,7 @@ class PiecewiseLinearFunction:
         return np.column_stack([self.xs, self.ys])
 
     def __call__(self, x):
-        out = np.interp(x, self.xs, self.ys)
+        out = np.interp(x, self._xs, self._ys)
         if np.isscalar(x) or np.ndim(x) == 0:
             return float(out)
         return out
@@ -97,9 +102,46 @@ class PiecewiseLinearFunction:
                 f"shift {s:g} must lie in [0, {self.width:g}] for a function of that width"
             )
         s = min(max(s, 0.0), self.width)
-        lo = self.x_min
-        hi = self.x_max - s
-        cand = np.concatenate([self.xs, self.xs - s, [lo, hi]])
-        cand = np.unique(np.clip(cand, lo, hi))
-        vals = self(cand + s) - self(cand)
-        return PiecewiseLinearFunction(cand, np.asarray(vals, dtype=np.float64))
+        ((xs, ys),) = self._shift_difference_blocks(s, first=self._xs.size)
+        return PiecewiseLinearFunction(xs, ys)
+
+    def _shift_difference_blocks(self, s: float, first: int = _FIRST_BLOCK):
+        """Vertices and values of x -> f(x + s) - f(x), left to right, for
+        s already clamped to [0, width].
+
+        The vertices are f's breakpoints and their left translates by s,
+        clipped to [x_min, x_max - s].  Block k takes those that lie below
+        xs[i_k] before clipping and that no earlier block took, where i_1 =
+        ``first`` and the counts i_k+1 - i_k double; the last block takes
+        the rest.  Concatenated, the blocks are exactly the whole
+        difference, so a caller that stops at its first answer pays only
+        for the blocks it read."""
+        xs = self._xs
+        lo, hi = self.x_min, self.x_max - s
+        i0, j0, size = 0, 0, first
+        while True:
+            i1 = i0 + size
+            # past hi every candidate clips to hi, so the block there is the last
+            last = i1 >= xs.size or xs[i1] > hi
+            if last:
+                parts = [xs[i0:], xs[j0:] - s, [hi]]
+            else:
+                # first j with xs[j] - s >= xs[i1]: rounded subtraction is
+                # monotone, so step from a guess to the exact index
+                j1 = int(np.searchsorted(xs, xs[i1] + s))
+                while j1 > j0 and xs[j1 - 1] - s >= xs[i1]:
+                    j1 -= 1
+                while xs[j1] - s < xs[i1]:
+                    j1 += 1
+                parts = [xs[i0:i1], xs[j0:j1] - s]
+            cand = np.unique(np.clip(np.concatenate(parts), lo, hi))
+            yield cand, self(cand + s) - self(cand)
+            if last:
+                return
+            i0, j0, size = i1, j1, 2 * size
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    view = a.view()
+    view.setflags(write=False)
+    return view

@@ -187,18 +187,19 @@ def exists_average_split(profile: RaceProfile, d: float) -> ChordQueryResult:
     """Decide whether some sub-interval covers distance d at exactly the
     race's average pace.
 
-    The result's ``s`` is the window duration T d / L and ``witness_x``
-    the window's start time (None when no window exists).  Exact for
+    The result's ``s`` is the window duration T d / L, ``witness_x``
+    the window's start time (None when no window exists) and ``vertices``
+    the work of the chord query on :func:`to_chord_problem`.  Exact for
     piecewise linear profiles."""
     d = _check_window_distance(profile, d)
     g = to_chord_problem(profile, d)
     res = has_horizontal_chord(g, 1.0)
     window = profile.total_time * d / profile.total_distance
     if not res.exists:
-        return ChordQueryResult(False, window)
+        return ChordQueryResult(False, window, None, res.vertices)
     t = res.witness_x * profile.total_time / g.width
     t = min(max(t, 0.0), profile.total_time - window)
-    return ChordQueryResult(True, window, t)
+    return ChordQueryResult(True, window, t, res.vertices)
 
 
 def find_average_split(profile: RaceProfile, d: float) -> float:
@@ -299,7 +300,10 @@ def build_adversarial_profile(
     Only possible when L/d is not a whole number (otherwise such a
     window always exists); raises ValueError for whole-number ratios.
     Built by shearing a chord-avoiding function into position form and
-    re-verified before returning.
+    re-verified before returning.  The sin^2 shape's increment shrinks
+    like the square of the distance from L/d to a whole number n, so
+    within about 2e-8 n of n it drowns in rounding and a ValueError
+    points to the triangle wave, whose increment is linear in it.
     """
     L = float(total_distance)
     T = float(total_time)
@@ -327,6 +331,14 @@ def build_adversarial_profile(
     base = base.scaled((0.5 * d) / steep)
     profile = from_chord_function(base, L, T, d)
     check = exists_average_split(profile, d)
+    if check.exists and phi_kind == "sin_squared":
+        n = round(ratio)
+        raise ValueError(
+            f"L/d = {ratio!r} is only {abs(ratio - n):.3g} from the whole number {n}: "
+            "the sin^2 profile's unit increment -sin^2(pi (L/d - n)) d/L falls below "
+            "float rounding there and leaves an average-pace window; use the triangle "
+            "wave instead (race-plan --shape triangle)"
+        )
     if check.exists:
         raise RuntimeError(
             "internal error: constructed profile still contains an average-pace window"

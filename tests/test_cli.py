@@ -223,6 +223,14 @@ class TestRaceCommands:
         capsys.readouterr()
         assert main(["race-exists-split", str(plan), "--window", "2"]) == 3
 
+    def test_race_plan_sin2_too_close_to_a_whole_ratio_exits_1(self, capsys):
+        argv = ["race-plan", "--distance", "3.00000002", "--time", "1000", "--window", "1"]
+        assert main(argv + ["--shape", "sin2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "from the whole number 3" in err
+        assert "--shape triangle" in err
+        assert main(argv + ["--shape", "triangle"]) == 0
+
     def test_race_plan_whole_ratio_exits_1(self, capsys):
         code = main(["race-plan", "--distance", "4", "--time", "1200", "--window", "2"])
         assert code == 1

@@ -255,3 +255,111 @@ def test_witnesses_are_genuine(seed, s_frac):
         x = res.witness_x
         assert f.x_min - 1e-9 <= x <= f.x_max - s + 1e-9
         assert abs(f(x + s) - f(x)) <= 1e-7
+
+
+def _one_pass_shift_difference(f, s):
+    """g(x) = f(x + s) - f(x) built in one pass over all candidates."""
+    lo, hi = f.x_min, f.x_max - s
+    cand = np.unique(np.clip(np.concatenate([f.xs, f.xs - s, [lo, hi]]), lo, hi))
+    return cand, f(cand + s) - f(cand)
+
+
+def _reference_chord(f, s):
+    """(exists, witness) from the whole shifted difference: the first
+    exact zero unless a sign change comes before it."""
+    g = f.shift_difference(s)
+    ys = g.ys
+    zeros = np.flatnonzero(ys == 0.0)
+    neg = np.signbit(ys)
+    cross = np.flatnonzero((neg[:-1] != neg[1:]) & (ys[:-1] != 0) & (ys[1:] != 0))
+    if zeros.size and (not cross.size or zeros[0] <= cross[0]):
+        return True, float(g.xs[zeros[0]])
+    if cross.size:
+        i = cross[0]
+        x0, x1, y0, y1 = map(float, (g.xs[i], g.xs[i + 1], ys[i], ys[i + 1]))
+        return True, x0 - y0 * (x1 - x0) / (y1 - y0)
+    return False, None
+
+
+def _assert_matches_reference(f, s):
+    res = has_horizontal_chord(f, s)
+    exists, witness = _reference_chord(f, s)
+    # repr tells -0.0 from 0.0: the witness must agree bit for bit
+    assert (res.exists, repr(res.witness_x)) == (exists, repr(witness))
+    g = f.shift_difference(s)
+    assert 0 < res.vertices <= g.xs.size
+    if not exists:
+        assert res.vertices == g.xs.size
+    return res
+
+
+class TestBlockedScan:
+    """has_horizontal_chord builds g block by block and stops at the first
+    block holding an answer; answers and witnesses must equal those read
+    off the whole shifted difference."""
+
+    @staticmethod
+    def steps(n, changes=None):
+        # f on 0, 1, ..., n with positive steps except those changed; at
+        # s = 1, g's vertex i is f's step i, so a step k of 0 is a zero of
+        # g at vertex k and a negative one a sign change from vertex k - 1
+        dy = np.random.default_rng(0).uniform(0.5, 2.0, n)
+        for k, value in (changes or {}).items():
+            dy[k] = value
+        return PiecewiseLinearFunction(np.arange(n + 1.0), np.r_[0.0, np.cumsum(dy)])
+
+    @pytest.mark.parametrize("k", [1, 1023, 1024, 1025, 3071, 3072, 3073, 7999])
+    @pytest.mark.parametrize("value", [0.0, -0.75])
+    def test_first_answer_at_a_block_cut(self, k, value):
+        # g's vertices 0..1023 form the first block and 1024..3071 the
+        # second, so k = 1024 puts a zero on a cut and a sign change across it
+        f = self.steps(8000, {k: value})
+        res = _assert_matches_reference(f, 1.0)
+        assert res.exists
+        lo = k if value == 0.0 else k - 1
+        assert lo <= res.witness_x <= k
+        blocks_read = next(e for e in (1024, 3072, 7168, 8000) if e > k)
+        assert res.vertices == blocks_read
+
+    @pytest.mark.parametrize("k", [1022, 1023, 1500])
+    def test_first_of_a_zero_and_a_sign_change_wins(self, k):
+        f = self.steps(5000, {k: -0.75, k + 2: 0.0})
+        assert k - 1 < _assert_matches_reference(f, 1.0).witness_x < k
+        f = self.steps(5000, {k: 0.0, k + 2: -0.75})
+        assert _assert_matches_reference(f, 1.0).witness_x == k
+
+    def test_blocks_are_the_whole_difference(self):
+        f = self.steps(9000, {4000: -0.75})
+        for s in (0.0, 0.37, 1.0, 4321.5, f.width):
+            xs, ys = (np.concatenate(p) for p in zip(*f._shift_difference_blocks(s)))
+            want = _one_pass_shift_difference(f, s)
+            assert xs.tobytes() == want[0].tobytes() and ys.tobytes() == want[1].tobytes()
+
+    @pytest.mark.parametrize("n", [3, 1500, 5000])
+    def test_no_chord_builds_everything(self, n):
+        f = self.steps(n)  # strictly increasing
+        for s in (0.5, 1.0, n / 3.0 + 0.1):
+            res = _assert_matches_reference(f, s)
+            assert not res.exists
+            assert res.vertices == f.shift_difference(s).xs.size
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=5000),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.floats(min_value=0.0, max_value=4.0),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+def test_blocked_scan_matches_the_whole_difference(n, seed, drift, s_frac):
+    # a random walk with drift: the larger the drift, the later the first
+    # zero of g, and with no noise left there is none
+    rng = np.random.default_rng(seed)
+    xs = np.unique(np.r_[0.0, rng.uniform(0.0, 10.0, n - 1)])
+    noise = rng.normal(size=xs.size) * rng.choice([0.0, 0.05, 1.0])
+    f = PiecewiseLinearFunction(xs, np.cumsum(noise + drift))
+    s = s_frac * f.width
+    _assert_matches_reference(f, s)
+    xs_g, ys_g = _one_pass_shift_difference(f, s)
+    g = f.shift_difference(s)
+    assert g.xs.tobytes() == xs_g.tobytes() and g.ys.tobytes() == ys_g.tobytes()

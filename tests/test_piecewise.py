@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -125,3 +127,21 @@ def test_shift_difference_matches_pointwise(steps, ys, s_frac, x_frac):
     assert g.x_max == pytest.approx(f.x_max - s, abs=1e-12)
     x = g.x_min + x_frac * g.width
     assert g(x) == pytest.approx(f(x + s) - f(x), abs=1e-9)
+
+
+def test_evaluation_does_not_copy_the_breakpoints():
+    # np.interp copies read-only arrays; at 10^5 breakpoints that is 1.6 MB
+    # for a 16-point query
+    xs = np.linspace(0.0, 1.0, 100_000)
+    f = PiecewiseLinearFunction(xs, np.sin(xs))
+    q = np.linspace(0.1, 0.9, 16)
+    f(q)
+    tracemalloc.start()
+    try:
+        f(q)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    with pytest.raises(ValueError):
+        f.ys[0] = 1.0

@@ -233,6 +233,31 @@ class TestFindAverageSplit:
         assert dt < budget
 
 
+class TestVerticesCounter:
+    def test_no_window_counts_the_whole_difference(self):
+        profile = build_adversarial_profile(7.4, 2000.0, 1.0, phi_kind="sin_squared")
+        res = exists_average_split(profile, 1.0)
+        assert not res.exists
+        g = to_chord_problem(profile, 1.0)
+        assert res.vertices == g.shift_difference(1.0).xs.size
+
+    def test_early_window_stops_early(self):
+        # 10^5 splits at 0.7 to 1.3 times the average speed; with this
+        # seed the first average-pace third of the race starts near the gun
+        rng = np.random.default_rng(0)
+        n, L, T = 100_000, 30.0, 9000.0
+        dur = rng.uniform(0.5, 1.5, n)
+        gain = dur * rng.uniform(0.7, 1.3, n)
+        ts = np.r_[0.0, np.cumsum(dur * T / dur.sum())]
+        ds = np.r_[0.0, np.cumsum(gain * L / gain.sum())]
+        ts[-1], ds[-1] = T, L
+        profile = RaceProfile(L, T, PiecewiseLinearFunction(ts, ds))
+        res = exists_average_split(profile, L / 3)
+        assert res.witness_x < 0.01 * T
+        full = to_chord_problem(profile, L / 3).shift_difference(1.0).xs.size
+        assert res.vertices < full / 10
+
+
 def _assert_exact_witness(profile, d):
     t = find_average_split(profile, d)
     assert t == exists_average_split(profile, d).witness_x
@@ -349,6 +374,16 @@ class TestBuildAdversarialProfile:
             assert profile.position.xs.size <= 8193
         profile = build_adversarial_profile(5.43, 543.0, 1.0, phi_kind="sin_squared")
         assert profile.position.xs.size == 5562
+
+    @pytest.mark.parametrize("L", [3 + 2e-8, 3 + 3e-8, 20 + 2e-7])
+    def test_sin_squared_too_close_to_a_whole_ratio(self, L):
+        # the sin^2 increment -sin^2(pi delta)/W is below rounding here; the
+        # triangle's is linear in delta and still builds
+        n = round(L)
+        with pytest.raises(ValueError, match=rf"from the whole number {n}:.*triangle"):
+            build_adversarial_profile(L, 1000.0, 1.0, phi_kind="sin_squared")
+        profile = build_adversarial_profile(L, 1000.0, 1.0, phi_kind="triangle_wave")
+        assert not exists_average_split(profile, 1.0).exists
 
     def test_whole_ratio_rejected(self):
         with pytest.raises(ValueError, match="unavoidable"):
