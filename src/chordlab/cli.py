@@ -8,6 +8,7 @@ argparse keeps its usual exit 2 for malformed invocations.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -27,7 +28,7 @@ from .io import (
     svg_for_curves,
     write_chord_scan,
 )
-from .oracle import chord_set, chord_set_scan
+from .oracle import _scan_with_set
 from .race import build_adversarial_profile, exists_average_split, find_average_split
 
 _PHI_KINDS = {"triangle": "triangle_wave", "sin2": "sin_squared"}
@@ -85,8 +86,8 @@ def _cmd_construct(args) -> int:
         raise ValueError("chord set fails validation:\n" + report.summary())
     sf = smooth_chord_function(s)
     spacing = args.resolution if args.resolution is not None else s.sup / 1000.0
-    if spacing <= 0:
-        raise ValueError(f"resolution must be positive, got {spacing:g}")
+    if not (spacing > 0 and math.isfinite(spacing)):
+        raise ValueError(f"resolution must be positive and finite, got {spacing:g}")
     count = max(int(round(s.sup / spacing)) + 1, 2)
     xs, ys = sf.sample(count)
     _emit(smooth_samples_to_obj(xs, ys), args.output)
@@ -96,12 +97,12 @@ def _cmd_construct(args) -> int:
 def _cmd_chords(args) -> int:
     f = parse_function(load_json(args.function))
     resolution = args.resolution if args.resolution is not None else f.width / 500.0
-    scan = chord_set_scan(f, resolution)
+    scan, exact = _scan_with_set(f, resolution)
     main_path, bpath = write_chord_scan(scan, args.output)
     member = int(scan.membership.sum())
-    exact = ", ".join(f"[{iv.lo:.6g}, {iv.hi:.6g}]" for iv in chord_set(f).intervals)
+    pairs = ", ".join(f"[{iv.lo:.6g}, {iv.hi:.6g}]" for iv in exact.intervals)
     print(
-        f"scanned {scan.lengths.size} lengths, {member} in the chord set {exact}; "
+        f"scanned {scan.lengths.size} lengths, {member} in the chord set {pairs}; "
         f"wrote {main_path} and {bpath}"
     )
     return 0
@@ -134,6 +135,9 @@ def _cmd_race_exists_split(args) -> int:
 
 
 def _cmd_plot(args) -> int:
+    shift = args.overlay_shift
+    if shift is not None and not math.isfinite(shift):
+        raise ValueError(f"overlay shift must be finite, got {shift:g}")
     obj = load_json(args.input)
     if isinstance(obj, dict) and "splits" in obj:
         pos = parse_profile(obj).position
@@ -142,8 +146,8 @@ def _cmd_plot(args) -> int:
         f = parse_function(obj)
         xs, ys = f.xs, f.ys
     curves = [(xs, ys)]
-    if args.overlay_shift is not None:
-        curves.append((xs + args.overlay_shift, ys))
+    if shift is not None:
+        curves.append((xs + shift, ys))
     Path(args.output).write_text(svg_for_curves(curves))
     print(f"wrote {args.output}")
     return 0

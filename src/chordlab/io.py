@@ -38,7 +38,10 @@ def _sig(x: float) -> float:
 
 
 def _pairs(rows) -> list[list[float]]:
-    return [[_sig(a), _sig(b)] for a, b in rows]
+    """12-digit [a, b] rows from pairs of Python numbers, such as the
+    ``zip`` of two ``tolist()`` columns, which format faster than numpy
+    scalars."""
+    return [[float(f"{a:.12g}"), float(f"{b:.12g}")] for a, b in rows]
 
 
 def interval_set_to_obj(s: ClosedIntervalSet) -> dict:
@@ -55,10 +58,11 @@ def parse_interval_set(obj: dict) -> ClosedIntervalSet:
 
 
 def function_to_obj(f: PiecewiseLinearFunction) -> dict:
-    return {"breakpoints": _pairs(zip(f.xs, f.ys))}
+    return {"breakpoints": _pairs(zip(f.xs.tolist(), f.ys.tolist()))}
 
 
 def smooth_samples_to_obj(xs: np.ndarray, ys: np.ndarray) -> dict:
+    xs, ys = (np.asarray(a, dtype=np.float64).tolist() for a in (xs, ys))
     return {"kind": "smooth", "samples": _pairs(zip(xs, ys))}
 
 

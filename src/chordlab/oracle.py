@@ -152,11 +152,21 @@ def chord_set_scan(f: PiecewiseLinearFunction, resolution: float) -> ChordScan:
     """Grid view of :func:`chord_set`: membership of each length on a
     uniform grid over [0, width], and a degenerate bracket (b, b) at each
     exact point b where membership flips."""
+    return _scan_with_set(f, resolution)[0]
+
+
+def _scan_with_set(
+    f: PiecewiseLinearFunction, resolution: float
+) -> tuple[ChordScan, ClosedIntervalSet]:
+    """:func:`chord_set_scan` together with the chord set it is read from,
+    for callers that need both without computing the set twice."""
     grid = _grid(f, resolution)
-    los, his = np.array(chord_set(f).to_pairs()).T
+    exact = chord_set(f)
+    los, his = np.array(exact.to_pairs()).T
     member = grid <= his[np.searchsorted(los, grid, side="right") - 1]
     flips = np.union1d(his[his < f.width], los[1:])
-    return ChordScan(grid, member, tuple((b, b) for b in flips.tolist()), float(resolution))
+    scan = ChordScan(grid, member, tuple((b, b) for b in flips.tolist()), float(resolution))
+    return scan, exact
 
 
 @dataclass(frozen=True)

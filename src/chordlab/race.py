@@ -122,15 +122,14 @@ class RaceProfile:
     @property
     def inverse(self) -> PiecewiseLinearFunction:
         """Time as a function of distance (well defined because the
-        profile moves strictly forward)."""
-        return PiecewiseLinearFunction(self.position.ys, self.position.xs)
+        profile moves strictly forward).  It shares the position's arrays,
+        which nothing writes."""
+        pos = self.position
+        return PiecewiseLinearFunction._from_owned(pos._ys, pos._xs)
 
     def splits(self) -> list[tuple[float, float]]:
         """Cumulative (distance, time) checkpoints, start omitted."""
-        return [
-            (float(d), float(t))
-            for t, d in zip(self.position.xs[1:], self.position.ys[1:])
-        ]
+        return list(zip(self.position.ys[1:].tolist(), self.position.xs[1:].tolist()))
 
 
 @dataclass(frozen=True)
@@ -152,11 +151,14 @@ def _check_window_distance(profile: RaceProfile, d: float) -> float:
 def window_time_extrema(profile: RaceProfile, d: float) -> WindowExtrema:
     """Fastest and slowest time over any sub-interval covering distance d.
 
-    Exact: the elapsed-time function of the window's start distance is
-    piecewise linear, so its extrema sit at vertices."""
+    Exact: the elapsed time g(x) = time(x + d) - time(x) of the window
+    starting at distance x is piecewise linear, so its extrema sit at its
+    vertices.  They are read in one pass over each family of vertices
+    (the time profile's breakpoints, their translates by -d and the two
+    ends) without building g, and equal the min and max of
+    ``profile.inverse.shift_difference(d).ys`` bitwise."""
     d = _check_window_distance(profile, d)
-    g = profile.inverse.shift_difference(d)
-    return WindowExtrema(float(np.min(g.ys)), float(np.max(g.ys)))
+    return WindowExtrema(*profile.inverse._shift_difference_range(d))
 
 
 def to_chord_problem(profile: RaceProfile, d: float) -> PiecewiseLinearFunction:
@@ -173,14 +175,13 @@ def to_chord_problem(profile: RaceProfile, d: float) -> PiecewiseLinearFunction:
     T = profile.total_time
     lam = whole_ratio(L, d) or L / d
     us = profile.position.xs * (lam / T)
-    ys = profile.position.ys - d * us
-    us = us.copy()
-    ys = ys.copy()
+    ys = us * d
+    np.subtract(profile.position.ys, ys, out=ys)
     us[0] = 0.0
     us[-1] = lam
     ys[0] = 0.0
     ys[-1] = 0.0
-    return PiecewiseLinearFunction(us, ys)
+    return PiecewiseLinearFunction._from_owned(us, ys)
 
 
 def exists_average_split(profile: RaceProfile, d: float) -> ChordQueryResult:
@@ -266,13 +267,11 @@ def from_chord_function(
         ys = ys * factor
     ts = g.xs * (T / lam)
     dist = ys + d * g.xs
-    ts = ts.copy()
-    dist = np.asarray(dist, dtype=np.float64).copy()
     ts[0] = 0.0
     ts[-1] = T
     dist[0] = 0.0
     dist[-1] = L
-    return RaceProfile(L, T, PiecewiseLinearFunction(ts, dist))
+    return RaceProfile(L, T, PiecewiseLinearFunction._from_owned(ts, dist))
 
 
 def _shift_closed_grid(w: float) -> np.ndarray:

@@ -17,6 +17,7 @@ from chordlab import (
     smooth_chord_function,
     smooth_samples_to_obj,
 )
+from chordlab import cli, oracle
 from chordlab.cli import main, parse_duration
 from _corpus import SAWTOOTH_PAIRS
 
@@ -105,6 +106,14 @@ class TestConstruct:
         obj = json.loads(capsys.readouterr().out)
         assert len(obj["samples"]) == 45
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0"])
+    def test_smooth_resolution_must_be_positive_and_finite(self, spec_path, capsys, value):
+        argv = ["construct", spec_path, "--shape", "smooth", f"--resolution={value}"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: resolution must be positive and finite")
+
     def test_inadmissible_exits_1(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"intervals": [[0, 0.9], [1.1, 2.5]]}))
@@ -145,6 +154,23 @@ class TestChords:
         allowed = 2 * (4.4 / 1000 + 4.4 / 500)
         assert len(found) == len(expected)
         assert max(abs(a - b) for a, b in zip(found, expected)) <= allowed
+
+    def test_computes_the_chord_set_once(self, spec_path, tmp_path, capsys, monkeypatch):
+        fn_path = tmp_path / "fn.json"
+        assert main(["construct", spec_path, "--output", str(fn_path)]) == 0
+        calls = []
+        exact = oracle.chord_set
+
+        def counted(f):
+            calls.append(f)
+            return exact(f)
+
+        # under both names, in case the command imports it directly
+        monkeypatch.setattr(oracle, "chord_set", counted)
+        monkeypatch.setattr(cli, "chord_set", counted, raising=False)
+        assert main(["chords", str(fn_path), "--output", str(tmp_path / "scan.csv")]) == 0
+        assert len(calls) == 1
+        assert "[0, 0.9], [1.1, 1.8]" in capsys.readouterr().out
 
     def test_tolerance_not_accepted(self, spec_path, miles_path, tmp_path):
         # tolerances follow from the data; no subcommand takes the flag
@@ -348,6 +374,13 @@ class TestPlot:
         out = tmp_path / "fn.svg"
         assert main(["plot", str(fn_path), "--output", str(out), "--overlay-shift", "1.0"]) == 0
         assert out.read_text().count("<polyline") == 2
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_overlay_shift_exits_1(self, miles_path, tmp_path, capsys, value):
+        out = tmp_path / "p.svg"
+        assert main(["plot", miles_path, "--output", str(out), f"--overlay-shift={value}"]) == 1
+        assert capsys.readouterr().err.startswith("error: overlay shift must be finite")
+        assert not out.exists()
 
 
 def test_usage_error_exits_2():

@@ -8,6 +8,7 @@ from chordlab import (
     ClosedIntervalSet,
     PiecewiseLinearFunction,
     RaceProfile,
+    build_adversarial_profile,
     build_hopf,
     chord_set_scan,
 )
@@ -110,6 +111,34 @@ def _layout_objects():
         smooth_samples_to_obj(xs, np.sin(xs) * 1e-7),
         profile_to_obj(p),
     ]
+
+
+def _sig_rows(rows):
+    """12-digit rows formatted through numpy scalars, one value at a time."""
+    return [[float(f"{float(a):.12g}"), float(f"{float(b):.12g}")] for a, b in rows]
+
+
+def test_rows_from_lists_are_byte_identical_to_rows_from_scalars():
+    f = build_hopf(SAWTOOTH_PAIRS)
+    xs = np.linspace(0.0, 4.4, 1001)
+    ys = np.sin(7.0 * xs) * np.exp(-1.0 / (xs + 1e-3))
+    p = build_adversarial_profile(33.6, 5000.0, 1.0, "sin_squared")
+    pos = p.position
+    pairs = [
+        (function_to_obj(f), {"breakpoints": _sig_rows(zip(f.xs, f.ys))}),
+        (smooth_samples_to_obj(xs, ys), {"kind": "smooth", "samples": _sig_rows(zip(xs, ys))}),
+        (
+            profile_to_obj(p),
+            {
+                "total_distance": 33.6,
+                "total_time": 5000.0,
+                "splits": _sig_rows(zip(pos.ys[1:], pos.xs[1:])),
+            },
+        ),
+    ]
+    assert pos.xs.size > 2000
+    for new, old in pairs:
+        assert format_json(new) == format_json(old)
 
 
 class TestFormatJson:

@@ -358,8 +358,11 @@ def test_blocked_scan_matches_the_whole_difference(n, seed, drift, s_frac):
     xs = np.unique(np.r_[0.0, rng.uniform(0.0, 10.0, n - 1)])
     noise = rng.normal(size=xs.size) * rng.choice([0.0, 0.05, 1.0])
     f = PiecewiseLinearFunction(xs, np.cumsum(noise + drift))
-    s = s_frac * f.width
-    _assert_matches_reference(f, s)
-    xs_g, ys_g = _one_pass_shift_difference(f, s)
-    g = f.shift_difference(s)
-    assert g.xs.tobytes() == xs_g.tobytes() and g.ys.tobytes() == ys_g.tobytes()
+    # s = 0 keeps every block and clips the last one; s near the width
+    # leaves one block, clipped on both sides
+    for s in (s_frac * f.width, 0.0, np.nextafter(f.width, 0.0), f.width):
+        _assert_matches_reference(f, s)
+        xs_g, ys_g = _one_pass_shift_difference(f, s)
+        g = f.shift_difference(s)
+        assert g.xs.tobytes() == xs_g.tobytes() and g.ys.tobytes() == ys_g.tobytes()
+        assert f._shift_difference_range(s) == (ys_g.min(), ys_g.max())

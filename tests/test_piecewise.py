@@ -77,6 +77,17 @@ def test_rejects_unsorted_with_indices():
         PiecewiseLinearFunction(np.array([0.0, 2.0, 1.0]), np.array([0.0, 0.0, 0.0]))
 
 
+def test_owned_arrays_are_validated_not_copied():
+    xs, ys = np.array([0.0, 1.0, 3.0]), np.array([2.0, 0.0, 1.0])
+    f = PiecewiseLinearFunction._from_owned(xs, ys)
+    assert np.shares_memory(f.xs, xs) and np.shares_memory(f.ys, ys)
+    assert not np.shares_memory(PiecewiseLinearFunction(xs, ys).xs, xs)
+    with pytest.raises(ValueError, match=r"xs\[1\] = 2 is not below xs\[2\] = 1"):
+        PiecewiseLinearFunction._from_owned(np.array([0.0, 2.0, 1.0]), np.zeros(3))
+    with pytest.raises(ValueError, match="finite"):
+        PiecewiseLinearFunction._from_owned(np.array([0.0, 1.0]), np.array([0.0, np.inf]))
+
+
 class TestShiftDifference:
     def test_tent_golden(self):
         g = tent().shift_difference(1.0)
@@ -98,6 +109,43 @@ class TestShiftDifference:
             tent().shift_difference(2.5)
         with pytest.raises(ValueError, match="shift"):
             tent().shift_difference(-0.5)
+
+    @pytest.mark.parametrize(
+        "x0, x1",
+        [(0.00175655620602559, 5414.613959047123), (199.5154439682133, 3850.6171264164986), (0.0, 4.4)],
+    )
+    def test_full_width_range(self, x0, x1):
+        # in the first two, x1 - (x1 - x0) rounds below x0: the end x_max - s
+        # is then the difference's only vertex
+        f = PiecewiseLinearFunction([x0, 0.5 * (x0 + x1), x1], [1.0, -2.0, 0.5])
+        g = f.shift_difference(f.width)
+        assert g.xs.size == 1
+        assert f._shift_difference_range(f.width) == (g.ys[0], g.ys[0])
+
+    def test_range_at_an_interior_translate(self):
+        # g rises until x = 0.1, the translate of the kink at 0.5, then falls
+        f = PiecewiseLinearFunction([0.0, 0.3, 0.5, 1.0], [0.0, 0.3, 2.3, -2.7])
+        g = f.shift_difference(0.4)
+        assert f._shift_difference_range(0.4) == (g.ys.min(), g.ys.max())
+        i = int(np.argmax(g.ys))
+        assert g.xs[i] == 0.5 - 0.4 and g.ys[i] > max(g(0.0), g(0.3))
+
+    @pytest.mark.parametrize(
+        "lo, s, y",
+        [
+            (5.167034084532541, 9.50959059362676, 14.6766246781593),
+            (8.294255678822374, 4.151071450054697, 12.44532712887707),
+        ],
+    )
+    def test_first_translate_corrects_a_rounded_guess(self, lo, s, y):
+        # y - s and lo + s round so that searchsorted(xs, lo + s) is one
+        # index off the first j with xs[j] - s >= lo, above it or below it
+        f = PiecewiseLinearFunction([lo, y, lo + 2 * s], [0.0, 1.0, -0.5])
+        want = int(np.flatnonzero(f.xs - s >= lo)[0])
+        assert want != int(np.searchsorted(f.xs, lo + s))
+        assert f._first_translate(lo, s) == want
+        g = f.shift_difference(s)
+        assert f._shift_difference_range(s) == (g.ys.min(), g.ys.max())
 
     def test_breakpoints_cover_both_translates(self):
         f = PiecewiseLinearFunction(

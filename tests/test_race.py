@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -74,6 +75,11 @@ class TestRaceProfile:
         assert inv(12.0) == pytest.approx(2330.0)
         assert inv(21.1) == pytest.approx(3950.0)
 
+    def test_inverse_shares_the_position_arrays(self, half_marathon):
+        inv = half_marathon.inverse
+        assert np.shares_memory(inv.xs, half_marathon.position.ys)
+        assert np.shares_memory(inv.ys, half_marathon.position.xs)
+
     def test_rejects_flat_segment(self):
         pos = PiecewiseLinearFunction(np.array([0.0, 100.0, 200.0]), np.array([0.0, 1.0, 1.0]))
         with pytest.raises(ValueError, match="forward progress"):
@@ -128,6 +134,61 @@ class TestWindowTimeExtrema:
             window_time_extrema(three_miles, 0.0)
         with pytest.raises(ValueError, match="exceeds"):
             window_time_extrema(three_miles, 3.5)
+
+
+def _random_profile(rng, n):
+    ts = np.r_[0.0, np.cumsum(rng.uniform(0.5, 2.0, n))]
+    ds = np.r_[0.0, np.cumsum(rng.exponential(1.0, n) + 1e-3)]
+    return RaceProfile(float(ds[-1]), float(ts[-1]), PiecewiseLinearFunction(ts, ds))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=3000),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from(["whole race", "tiny", "whole ratio", "fraction"]),
+)
+def test_extrema_are_those_of_the_window_curve(n, seed, kind):
+    rng = np.random.default_rng(seed)
+    p = _random_profile(rng, n)
+    L = p.total_distance
+    d = {
+        "whole race": L,
+        "tiny": L * 1e-9,
+        "whole ratio": L / int(rng.integers(1, 12)),
+        "fraction": L / rng.uniform(1.0, 12.0),
+    }[kind]
+    ex = window_time_extrema(p, d)
+    g = p.inverse.shift_difference(d)
+    assert np.float64(ex.min_time).tobytes() == g.ys.min().tobytes()
+    assert np.float64(ex.max_time).tobytes() == g.ys.max().tobytes()
+
+
+def _peak_bytes(fn) -> int:
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestRacePathMemory:
+    """Peaks at 10^5 splits, in units of one float array of the profile."""
+
+    @pytest.fixture(scope="class")
+    def big(self):
+        p = _random_profile(np.random.default_rng(3), 100_000)
+        return p, p.total_distance / 7.37, 8 * p.position.xs.size
+
+    def test_to_chord_problem_makes_two_arrays(self, big):
+        p, d, array = big
+        assert _peak_bytes(lambda: to_chord_problem(p, d)) < 3 * array
+
+    def test_window_extrema_build_no_window_curve(self, big):
+        p, d, array = big
+        assert _peak_bytes(lambda: window_time_extrema(p, d)) < 6 * array
 
 
 class TestToChordProblem:
