@@ -88,6 +88,8 @@ def _cmd_construct(args) -> int:
     spacing = args.resolution if args.resolution is not None else s.sup / 1000.0
     if not (spacing > 0 and math.isfinite(spacing)):
         raise ValueError(f"resolution must be positive and finite, got {spacing:g}")
+    if not math.isfinite(s.sup / spacing):
+        raise ValueError(f"resolution {spacing:g} gives too many samples over [0, {s.sup:g}]")
     count = max(int(round(s.sup / spacing)) + 1, 2)
     xs, ys = sf.sample(count)
     _emit(smooth_samples_to_obj(xs, ys), args.output)
@@ -232,8 +234,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ValueError, OSError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, RuntimeError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

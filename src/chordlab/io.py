@@ -15,14 +15,16 @@ pairs with one row per line, indented by four::
       ]
     }
 
-It is built on json's C encoder (``indent`` would switch that off), so
-large sample lists are written several times faster.
-"""
+Writers handle a table at once, not one number at a time: the
+``*_to_obj`` functions round whole arrays in numpy (:func:`_round12`),
+and a table of float rows, a CSV file or a polyline is formatted with
+one printf-style call over all its numbers.  Each writes the bytes that
+formatting one number at a time would."""
 
 from __future__ import annotations
 
-import csv
 import json
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -33,19 +35,61 @@ from .piecewise import PiecewiseLinearFunction
 from .race import RaceProfile
 
 
-def _sig(x: float) -> float:
-    return float(f"{float(x):.12g}")
+# Tables of at most this many numbers are rounded and formatted one
+# number at a time: there numpy's per-call cost exceeds the loop's.
+_LOOP_MAX = 64
+
+# 10**k for k = -22 .. 22 as the quotient _UP / _DOWN of two exact
+# factors, one of them 1, so that scaling by it rounds once.
+_UP = np.array([float(10 ** max(k, 0)) for k in range(-22, 23)])
+_DOWN = _UP[::-1].copy()
 
 
-def _pairs(rows) -> list[list[float]]:
-    """12-digit [a, b] rows from pairs of Python numbers, such as the
-    ``zip`` of two ``tolist()`` columns, which format faster than numpy
-    scalars."""
-    return [[float(f"{a:.12g}"), float(f"{b:.12g}")] for a, b in rows]
+def _round12(a) -> np.ndarray:
+    """``float(f"{x:.12g}")`` of every element of ``a``, bit for bit.
+
+    |x| is scaled by an exact 10**k into [1e11, 1e12] with one rounding,
+    which errs by less than 2**-14, then rounded to an integer m and scaled
+    back with one rounding: that is the parse of the 12-digit decimal
+    m * 10**-k.  Elements within 1e-3 of a rounding tie, or outside
+    1e-11 <= |x| < 1e34, where 10**k is not exact, take the f-string, as
+    do any whose k, read off log10, misses [1e11, 1e12] by a decade."""
+    a = np.asarray(a, dtype=np.float64)
+    y = np.abs(a)
+    fast = (y >= 1e-11) & (y < 1e34)
+    # index of k = 11 - floor(log10 |x|) in the tables; k = 0 elsewhere
+    j = np.log10(y, out=np.full_like(y, 11.0), where=fast)
+    j = (33.0 - np.floor(j, out=j)).astype(np.intp)
+    np.clip(j, 0, 44, out=j)
+    up, down = _UP[j], _DOWN[j]
+    y *= up
+    y /= down
+    m = np.rint(y)
+    slow = ~fast | (y < 1e11) | (y > 1e12)
+    with np.errstate(invalid="ignore"):  # inf - inf where not fast
+        y -= m
+    slow |= np.abs(y, out=y) > 0.499
+    m *= down
+    m /= up
+    np.copysign(m, a, out=m)
+    idx = np.flatnonzero(slow)
+    m.reshape(-1)[idx] = [float(f"{x:.12g}") for x in a.ravel()[idx].tolist()]
+    return m
+
+
+def _pairs12(a, b) -> list[list[float]]:
+    """12-digit [a_i, b_i] rows from two equal-length columns: float
+    arrays, or lists of Python floats."""
+    if 2 * len(a) > _LOOP_MAX:
+        return _round12(np.column_stack((a, b))).tolist()
+    if isinstance(a, np.ndarray):
+        a, b = a.tolist(), b.tolist()
+    return [[float(f"{x:.12g}"), float(f"{y:.12g}")] for x, y in zip(a, b)]
 
 
 def interval_set_to_obj(s: ClosedIntervalSet) -> dict:
-    return {"intervals": _pairs(s.to_pairs())}
+    ivs = s.intervals
+    return {"intervals": _pairs12([iv.lo for iv in ivs], [iv.hi for iv in ivs])}
 
 
 def parse_interval_set(obj: dict) -> ClosedIntervalSet:
@@ -58,12 +102,12 @@ def parse_interval_set(obj: dict) -> ClosedIntervalSet:
 
 
 def function_to_obj(f: PiecewiseLinearFunction) -> dict:
-    return {"breakpoints": _pairs(zip(f.xs.tolist(), f.ys.tolist()))}
+    return {"breakpoints": _pairs12(f.xs, f.ys)}
 
 
 def smooth_samples_to_obj(xs: np.ndarray, ys: np.ndarray) -> dict:
-    xs, ys = (np.asarray(a, dtype=np.float64).tolist() for a in (xs, ys))
-    return {"kind": "smooth", "samples": _pairs(zip(xs, ys))}
+    xs, ys = np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64)
+    return {"kind": "smooth", "samples": _pairs12(xs, ys)}
 
 
 def parse_function(obj: dict) -> PiecewiseLinearFunction:
@@ -91,10 +135,11 @@ def parse_function(obj: dict) -> PiecewiseLinearFunction:
 
 
 def profile_to_obj(profile: RaceProfile) -> dict:
+    pos = profile.position
     return {
-        "total_distance": _sig(profile.total_distance),
-        "total_time": _sig(profile.total_time),
-        "splits": _pairs(profile.splits()),
+        "total_distance": float(f"{profile.total_distance:.12g}"),
+        "total_time": float(f"{profile.total_time:.12g}"),
+        "splits": _pairs12(pos.ys[1:], pos.xs[1:]),
     }
 
 
@@ -127,14 +172,52 @@ def load_json(path) -> dict:
         raise ValueError(f"{path} is not valid JSON: {exc}") from exc
 
 
+# How json.dumps writes a finite float x (its repr), as a printf-style
+# spec: "%.1f" for integral |x| < 1e16; "%.12g" for any other normal x
+# that 12 significant digits represent exactly, since no other decimal of
+# 12 digits or fewer lies within half an ulp of it, so repr's shortest
+# digits are %.12g's, and both use an exponent below 1e-4 and from 1e16
+# up (from 1e12 such an x is integral); "%r" otherwise, subnormals
+# included.
+_SPECS = ("%.12g", "%.1f", "%r")
+_TINY = np.finfo(np.float64).tiny
+
+
+def _float_rows(value) -> str | None:
+    """A list of [float, float] rows in the layout of :func:`format_json`,
+    written with one format call over all its numbers; None if ``value``
+    is anything else, or small enough that json.dumps is faster."""
+    if not (isinstance(value, list) and 2 * len(value) > _LOOP_MAX):
+        return None
+    if set(map(type, value)) != {list} or set(map(len, value)) != {2}:
+        return None
+    flat = tuple(chain.from_iterable(value))
+    if set(map(type, flat)) != {float}:
+        return None
+    v = np.fromiter(flat, np.float64, len(flat))
+    if not np.isfinite(v).all():
+        return None
+    kind = np.where((_round12(v) == v) & (np.abs(v) >= _TINY), 0, 2)
+    kind[(v == np.trunc(v)) & (np.abs(v) < 1e16)] = 1
+    seps = (", ", "],\n    [")
+    specs = [_SPECS[0] + seps[0], _SPECS[0] + seps[1]] * len(value)
+    idx = np.flatnonzero(kind)
+    for i, k in zip(idx.tolist(), kind[idx].tolist()):
+        specs[i] = _SPECS[k] + seps[i % 2]
+    text = "".join(specs) % flat
+    return "[\n    [" + text[: -len(seps[1])] + "]\n  ]"
+
+
 def format_json(obj: dict) -> str:
     """JSON text for a top-level object in the layout of this module's
     docstring, ending in a newline."""
     lines = []
     for key, value in obj.items():
-        text = json.dumps(value)
-        if text.startswith("[[") and '"' not in text:
-            text = "[\n    " + text[1:-1].replace("], [", "],\n    [") + "\n  ]"
+        text = _float_rows(value)
+        if text is None:
+            text = json.dumps(value)
+            if text.startswith("[[") and '"' not in text:
+                text = "[\n    " + text[1:-1].replace("], [", "],\n    [") + "\n  ]"
         lines.append(f"  {json.dumps(key)}: {text}")
     return "{\n" + ",\n".join(lines) + "\n}\n"
 
@@ -147,17 +230,15 @@ def write_chord_scan(scan: ChordScan, path) -> tuple[Path, Path]:
     """Write scan membership as CSV, plus a companion file of refined
     boundary brackets.  Returns (main_path, boundaries_path)."""
     path = Path(path)
+    rows = np.where(np.asarray(scan.membership, dtype=bool), "%.12g,true\r\n", "%.12g,false\r\n")
+    lengths = tuple(np.asarray(scan.lengths, dtype=np.float64).tolist())
+    # csv's default dialect: "\r\n" line ends, and no field here needs quotes
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["s", "in_chord_set"])
-        for s, m in zip(scan.lengths, scan.membership):
-            writer.writerow([f"{float(s):.12g}", "true" if m else "false"])
+        fh.write("s,in_chord_set\r\n" + "".join(rows.tolist()) % lengths)
     bpath = path.with_name(path.stem + "_boundaries" + path.suffix)
+    brackets = tuple(chain.from_iterable(scan.refined_boundaries))
     with bpath.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["s_lo", "s_hi"])
-        for lo, hi in scan.refined_boundaries:
-            writer.writerow([f"{lo:.12g}", f"{hi:.12g}"])
+        fh.write("s_lo,s_hi\r\n" + "%.12g,%.12g\r\n" * len(scan.refined_boundaries) % brackets)
     return path, bpath
 
 
@@ -185,15 +266,17 @@ def svg_for_curves(curves) -> str:
     x_hi = max(float(xs.max()) for xs, _ in data)
     y_lo = min(float(ys.min()) for _, ys in data)
     y_hi = max(float(ys.max()) for _, ys in data)
+    # a unit range for a constant, widened where 1.0 is below half an ulp
     if x_hi - x_lo <= 0:
-        x_hi = x_lo + 1.0
+        x_hi = x_lo + max(1.0, abs(x_lo) * 2.0**-52)
     if y_hi - y_lo <= 0:
-        y_hi = y_lo + 1.0
+        y_hi = y_lo + max(1.0, abs(y_lo) * 2.0**-52)
 
-    def px(x: float) -> float:
+    # on floats and, elementwise with the same roundings, on arrays
+    def px(x):
         return pad + (x - x_lo) / (x_hi - x_lo) * (width - 2 * pad)
 
-    def py(y: float) -> float:
+    def py(y):
         return height - pad - (y - y_lo) / (y_hi - y_lo) * (height - 2 * pad)
 
     parts = [
@@ -215,7 +298,9 @@ def svg_for_curves(curves) -> str:
         )
     for i, (xs, ys) in enumerate(data):
         color, stroke = _SVG_STYLES[i % len(_SVG_STYLES)]
-        pts = " ".join(f"{px(float(x)):.3f},{py(float(y)):.3f}" for x, y in zip(xs, ys))
+        pts = " ".join(["%.3f,%.3f"] * xs.size) % tuple(
+            np.column_stack((px(xs), py(ys))).ravel().tolist()
+        )
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" '
             f'stroke-width="{stroke}"/>'

@@ -12,6 +12,7 @@ module also gives the sign-change lower bound on guaranteed chord lengths.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,6 +145,8 @@ def _grid(f: PiecewiseLinearFunction, resolution: float) -> np.ndarray:
     if not (0 < resolution <= w):
         raise ValueError(f"resolution must lie in (0, {w:g}], got {resolution:g}")
     steps = w / resolution
+    if not math.isfinite(steps):
+        raise ValueError(f"resolution {resolution:g} gives too many grid lengths over width {w:g}")
     grid = np.arange(int(np.floor(steps + tolerance(steps))) + 1) * resolution
     return np.append(grid[grid < w - tolerance(w)], w)
 

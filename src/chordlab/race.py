@@ -91,10 +91,15 @@ class RaceProfile:
         ts = [0.0]
         ds = [0.0]
         for item in splits:
-            pair = tuple(item)
+            try:
+                pair = tuple(item)
+                d, t = float(pair[0]), float(pair[1])
+            except (TypeError, ValueError, IndexError):
+                pair = ()
             if len(pair) != 2:
-                raise ValueError(f"each split must be a (distance, time) pair, got {item!r}")
-            d, t = float(pair[0]), float(pair[1])
+                raise ValueError(
+                    f"each split must be a (distance, time) pair of numbers, got {item!r}"
+                )
             if len(ts) == 1 and abs(d) <= tolerance(L) and abs(t) <= tolerance(T):
                 continue
             ts.append(t)

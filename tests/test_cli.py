@@ -4,6 +4,7 @@ import io
 import json
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -187,6 +188,88 @@ class TestChords:
             with pytest.raises(SystemExit) as exc:
                 main(argv + ["--tolerance", "0"])
             assert exc.value.code == 2
+
+
+def _refuse_huge(monkeypatch, name, size_arg):
+    """Make numpy.<name> raise MemoryError, as numpy does when it cannot
+    allocate, for requests above 10**9 elements, so that no test makes one."""
+    real = getattr(np, name)
+
+    def alloc(*args, **kwargs):
+        n = args[size_arg] if len(args) > size_arg else kwargs.get("num", 50)
+        if n > 10**9:
+            raise MemoryError(f"Unable to allocate {8 * n / 2**50:.2f} PiB for an array")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, name, alloc)
+
+
+class TestUnhonourableResolution:
+    """A resolution that cannot be honoured is an error line and exit 1."""
+
+    def _fn_path(self, spec_path, tmp_path, capsys):
+        fn_path = tmp_path / "fn.json"
+        assert main(["construct", spec_path, "--output", str(fn_path)]) == 0
+        capsys.readouterr()
+        return str(fn_path)
+
+    def test_chords_step_count_overflows(self, spec_path, tmp_path, capsys):
+        fn_path = self._fn_path(spec_path, tmp_path, capsys)
+        out = tmp_path / "scan.csv"
+        assert main(["chords", fn_path, "--resolution", "5e-324", "--output", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: resolution 4.94066e-324 gives too many")
+        assert not out.exists()
+
+    def test_construct_sample_count_overflows(self, spec_path, capsys):
+        argv = ["construct", spec_path, "--shape", "smooth", "--resolution", "5e-324"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: resolution 4.94066e-324 gives too many samples")
+
+    def test_chords_out_of_memory(self, spec_path, tmp_path, capsys, monkeypatch):
+        fn_path = self._fn_path(spec_path, tmp_path, capsys)
+        _refuse_huge(monkeypatch, "arange", 0)
+        out = tmp_path / "scan.csv"
+        assert main(["chords", fn_path, "--resolution", "1e-14", "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_construct_out_of_memory(self, spec_path, capsys, monkeypatch):
+        _refuse_huge(monkeypatch, "linspace", 2)
+        argv = ["construct", spec_path, "--shape", "smooth", "--resolution", "1e-13"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: Unable to allocate")
+
+    def test_memory_error_without_message(self, spec_path, capsys, monkeypatch):
+        def boom(spec):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "build_hopf", boom)
+        assert main(["construct", spec_path]) == 1
+        assert capsys.readouterr().err == "error: MemoryError\n"
+
+
+class TestMalformedSplits:
+    @pytest.mark.parametrize(
+        "splits, shown", [([1, 2], "got 1"), ([[1, None], [3, 10]], "got [1, None]")]
+    )
+    @pytest.mark.parametrize("command", ["race-exists-split", "race-find-split", "plot"])
+    def test_one_error_line(self, tmp_path, capsys, splits, shown, command):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"total_distance": 3, "total_time": 10, "splits": splits}))
+        svg = tmp_path / "p.svg"
+        extra = ["--output", str(svg)] if command == "plot" else ["--window", "1"]
+        assert main([command, str(path)] + extra) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: each split must be a (distance, time) pair of numbers, {shown}\n"
+        )
+        assert not svg.exists()
 
 
 class TestRaceCommands:

@@ -1,10 +1,15 @@
 import csv
 import json
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chordlab import (
+    ChordScan,
     ClosedIntervalSet,
     PiecewiseLinearFunction,
     RaceProfile,
@@ -13,6 +18,7 @@ from chordlab import (
     chord_set_scan,
 )
 from chordlab.io import (
+    _round12,
     function_to_obj,
     interval_set_to_obj,
     load_json,
@@ -252,3 +258,252 @@ class TestSvg:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="at least one curve"):
             svg_for_curves([])
+
+
+# ---------------------------------------------------------------------------
+# The writers format whole tables at once; these oracles are the former
+# per-number code, and the tables must come out byte for byte the same.
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+def _sig_each(values):
+    return [float(f"{x:.12g}") for x in values]
+
+
+def _oracle_format_json(obj: dict) -> str:
+    lines = []
+    for key, value in obj.items():
+        text = json.dumps(value)
+        if text.startswith("[[") and '"' not in text:
+            text = "[\n    " + text[1:-1].replace("], [", "],\n    [") + "\n  ]"
+        lines.append(f"  {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(lines) + "\n}\n"
+
+
+def _oracle_write_chord_scan(scan, path):
+    path = Path(path)
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["s", "in_chord_set"])
+        for s, m in zip(scan.lengths, scan.membership):
+            writer.writerow([f"{float(s):.12g}", "true" if m else "false"])
+    bpath = path.with_name(path.stem + "_boundaries" + path.suffix)
+    with bpath.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["s_lo", "s_hi"])
+        for lo, hi in scan.refined_boundaries:
+            writer.writerow([f"{lo:.12g}", f"{hi:.12g}"])
+    return path, bpath
+
+
+def _oracle_polylines(curves) -> list[str]:
+    """The points attribute of each polyline, one point at a time."""
+    width, height, pad = 720, 360, 45
+    data = [(np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64)) for xs, ys in curves]
+    x_lo = min(float(xs.min()) for xs, _ in data)
+    x_hi = max(float(xs.max()) for xs, _ in data)
+    y_lo = min(float(ys.min()) for _, ys in data)
+    y_hi = max(float(ys.max()) for _, ys in data)
+    if x_hi - x_lo <= 0:
+        x_hi = x_lo + 1.0
+    if y_hi - y_lo <= 0:
+        y_hi = y_lo + 1.0
+
+    def px(x: float) -> float:
+        return pad + (x - x_lo) / (x_hi - x_lo) * (width - 2 * pad)
+
+    def py(y: float) -> float:
+        return height - pad - (y - y_lo) / (y_hi - y_lo) * (height - 2 * pad)
+
+    return [
+        " ".join(f"{px(float(x)):.3f},{py(float(y)):.3f}" for x, y in zip(xs, ys))
+        for xs, ys in data
+    ]
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_EDGES = (1e-11, 1e12, 1e16, 1e34)
+
+
+@st.composite
+def _near_ties(draw):
+    """The double nearest (m + 0.5) * 10**e for a 12-digit m, halfway
+    between two 12-digit decimals, or one of its neighbours; e spans the
+    scaled range 1e-11 <= |x| < 1e34 and a little beyond."""
+    m = draw(st.integers(min_value=10**11, max_value=10**12 - 1))
+    e = draw(st.integers(min_value=-25, max_value=25))
+    x = float(f"{10 * m + 5}e{e - 1}")
+    return float(np.nextafter(x, draw(st.sampled_from([-np.inf, x, np.inf]))))
+
+
+@st.composite
+def _edges(draw):
+    x = draw(st.sampled_from(_EDGES))
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        x = float(np.nextafter(x, draw(st.sampled_from([0.0, np.inf]))))
+    return -x if draw(st.booleans()) else x
+
+
+_round12_inputs = st.one_of(_finite, _near_ties(), _edges(), st.sampled_from([0.0, -0.0, 5e-324, 1e-44]))
+
+
+class TestRound12:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_round12_inputs, min_size=1, max_size=80))
+    def test_equals_the_f_string_bit_for_bit(self, values):
+        np.testing.assert_array_equal(_bits(_round12(values)), _bits(_sig_each(values)))
+
+    def test_decades_ties_and_non_finite(self):
+        # every power of ten in range with its neighbours, exact ties of
+        # binary fractions, and values outside 1e-11 <= |x| < 1e34
+        powers = [float(f"1e{k}") for k in range(-12, 36)]
+        values = np.array(powers + [0.5, 2.5, 1.5e-5, 123456789012.5, 0.1 + 0.2])
+        values = np.concatenate(
+            [values, np.nextafter(values, 0.0), np.nextafter(values, np.inf), -values]
+        )
+        np.testing.assert_array_equal(_bits(_round12(values)), _bits(_sig_each(values.tolist())))
+        special = _round12([np.inf, -np.inf, np.nan, 1e300, -1e-300])
+        assert special[0] == np.inf and special[1] == -np.inf and np.isnan(special[2])
+        np.testing.assert_array_equal(special[3:], [1e300, -1e-300])
+
+    @pytest.mark.parametrize("decades", [1.0, -1.0])
+    def test_exact_when_log10_is_off_by_a_decade(self, monkeypatch, decades):
+        # the scaled value then leaves [1e11, 1e12], and every element
+        # must take the f-string
+        real = np.log10
+
+        def off(y, out=None, where=True):
+            out = real(y, out=out, where=where)
+            return np.add(out, decades, out=out, where=where)
+
+        values = np.random.default_rng(3).uniform(-50.0, 50.0, 200)
+        monkeypatch.setattr(np, "log10", off)
+        np.testing.assert_array_equal(_bits(_round12(values)), _bits(_sig_each(values.tolist())))
+
+    def test_keeps_shape(self):
+        a = np.arange(12.0).reshape(3, 4) / 7.0
+        out = _round12(a)
+        assert out.shape == (3, 4)
+        np.testing.assert_array_equal(_bits(out.ravel()), _bits(_sig_each(a.ravel().tolist())))
+
+
+# floats of every kind format_json has to write as repr does: 12-digit
+# values, full-precision ones, integral ones (fixed notation up to 1e16),
+# signed zeros, tiny and huge exponents
+_table_floats = st.one_of(
+    _finite,
+    _finite.map(lambda x: float(f"{x:.12g}")),
+    st.integers(min_value=-(10**17), max_value=10**17).map(float),
+    st.integers(min_value=-(10**6), max_value=10**6).map(lambda k: k * 1e10),
+    st.sampled_from([0.0, -0.0, 1e-44, -1e-44, 1e12, 1e16, 9.999999999995e15, 1e-5, 1.5e-7]),
+    # subnormals of 12 digits or fewer, which repr writes shorter
+    st.integers(min_value=1, max_value=2**52 - 1).map(lambda k: float(f"{k * 5e-324:.12g}")),
+)
+_rows = st.lists(_table_floats, min_size=2, max_size=2)
+# up to 32 rows json.dumps writes the table, from 33 one format call
+_tables = st.one_of(st.lists(_rows, max_size=32), st.lists(_rows, min_size=33, max_size=120))
+
+
+class TestBulkWritersMatchPerNumberCode:
+    @settings(max_examples=200, deadline=None)
+    @given(_tables, st.sampled_from(["samples", "breakpoints", "splits"]))
+    def test_format_json(self, rows, key):
+        obj = {"total": 3.0, key: rows, "kind": "smooth"}
+        assert format_json(obj) == _oracle_format_json(obj)
+
+    def test_format_json_leaves_other_tables_to_json(self):
+        rows = [[float(k), 0.5] for k in range(40)]
+        for bad in ([1, 0.5], [0.5, True], [0.5], (0.5, 0.5), [0.5, float("nan")],
+                    [0.5, float("inf")], [np.float64(0.5), 0.5], [0.5, 0.25, 0.125]):
+            obj = {"rows": rows[:20] + [list(bad) if isinstance(bad, list) else bad] + rows[20:]}
+            assert format_json(obj) == _oracle_format_json(obj)
+
+    def test_writer_objects(self):
+        p = build_adversarial_profile(33.6, 5000.0, 1.3, "sin_squared")
+        xs = np.linspace(0.0, 4.4, 1001)
+        for obj in _layout_objects() + [
+            profile_to_obj(p),
+            smooth_samples_to_obj(xs, np.sin(7.0 * xs) * np.exp(-1.0 / (xs + 1e-3))),
+        ]:
+            assert format_json(obj) == _oracle_format_json(obj)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.tuples(_table_floats, st.booleans()), min_size=0, max_size=120),
+        st.lists(st.tuples(_table_floats, _table_floats), min_size=0, max_size=12),
+    )
+    def test_write_chord_scan(self, tmp_path_factory, rows, brackets):
+        lengths = np.array([s for s, _ in rows], dtype=np.float64)
+        member = np.array([m for _, m in rows], dtype=bool)
+        scan = ChordScan(lengths, member, tuple(brackets), 0.1)
+        tmp = tmp_path_factory.mktemp("scan")
+        new = write_chord_scan(scan, tmp / "new.csv")
+        old = _oracle_write_chord_scan(scan, tmp / "old.csv")
+        assert [p.name for p in new] == ["new.csv", "new_boundaries.csv"]
+        for a, b in zip(new, old):
+            assert a.read_bytes() == b.read_bytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.lists(
+                st.tuples(
+                    st.one_of(
+                        st.floats(min_value=-(2.0**52), max_value=2.0**52),
+                        st.sampled_from([0.0, -0.0, 1e-44]),
+                    ),
+                    st.floats(min_value=-1e6, max_value=1e6),
+                ),
+                min_size=1,
+                max_size=60,
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    def test_svg_for_curves(self, curves):
+        curves = [(np.array([x for x, _ in c]), np.array([y for _, y in c])) for c in curves]
+        svg = svg_for_curves(curves)
+        points = [line.split('"')[1] for line in svg.splitlines() if line.startswith("<polyline")]
+        assert points == _oracle_polylines(curves)
+
+    def test_svg_of_a_huge_constant(self):
+        # x_lo + 1.0 rounds back to x_lo from 2**53 up; the per-number code
+        # divided by zero there
+        xs = np.array([2.0**53, 2.0**53])
+        for curve in ((xs, xs), (-xs, xs)):
+            svg = svg_for_curves([curve])
+            assert "nan" not in svg and "inf" not in svg
+
+    def test_svg_at_scale(self):
+        p = build_adversarial_profile(33.6, 5000.0, 1.3, "sin_squared")
+        xs, ys = p.position.xs, p.position.ys
+        curves = [(xs, ys), (xs + 1.3, ys)]
+        svg = svg_for_curves(curves)
+        points = [line.split('"')[1] for line in svg.splitlines() if line.startswith("<polyline")]
+        assert points == _oracle_polylines(curves)
+
+
+def test_writers_at_scale_within_budget(tmp_path):
+    """Each writer on a 10^5-split profile, against a budget."""
+    n = 100_000
+    rng = np.random.default_rng(9)
+    ts = np.concatenate([[0.0], np.cumsum(rng.uniform(150.0, 400.0, n))])
+    ds = np.concatenate([[0.0], np.cumsum(rng.uniform(0.5, 1.5, n))])
+    p = RaceProfile(float(ds[-1]), float(ts[-1]), PiecewiseLinearFunction(ts, ds))
+    lengths = np.linspace(0.0, float(ds[-1]), n + 1)
+    scan = ChordScan(lengths, lengths < ds[-1] / 2, ((1.0, 1.0),), lengths[1])
+    jobs = [
+        ("format_json(profile_to_obj)", 0.5, lambda: format_json(profile_to_obj(p))),
+        ("svg_for_curves", 0.5, lambda: svg_for_curves([(ts, ds)])),
+        ("write_chord_scan", 0.5, lambda: write_chord_scan(scan, tmp_path / "scan.csv")),
+    ]
+    for name, budget, job in jobs:
+        t0 = time.perf_counter()
+        job()
+        dt = time.perf_counter() - t0
+        print(f"{name} with {n} rows: {dt:.3f}s (budget {budget:.2f}s)")
+        assert dt < budget
