@@ -299,8 +299,7 @@ def _oracle_write_chord_scan(scan, path):
     return path, bpath
 
 
-def _oracle_polylines(curves) -> list[str]:
-    """The points attribute of each polyline, one point at a time."""
+def _oracle_svg(curves) -> str:
     width, height, pad = 720, 360, 45
     data = [(np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64)) for xs, ys in curves]
     x_lo = min(float(xs.min()) for xs, _ in data)
@@ -318,10 +317,33 @@ def _oracle_polylines(curves) -> list[str]:
     def py(y: float) -> float:
         return height - pad - (y - y_lo) / (y_hi - y_lo) * (height - 2 * pad)
 
-    return [
-        " ".join(f"{px(float(x)):.3f},{py(float(y)):.3f}" for x, y in zip(xs, ys))
-        for xs, ys in data
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">',
+        f'<rect width="{width}" height="{height}" fill="#ffffff"/>',
     ]
+    if y_lo <= 0 <= y_hi:
+        y0 = py(0.0)
+        parts.append(
+            f'<line x1="{pad}" y1="{y0:.3f}" x2="{width - pad}" y2="{y0:.3f}" '
+            f'stroke="#dddddd" stroke-width="1"/>'
+        )
+    if x_lo <= 0 <= x_hi:
+        x0 = px(0.0)
+        parts.append(
+            f'<line x1="{x0:.3f}" y1="{pad}" x2="{x0:.3f}" y2="{height - pad}" '
+            f'stroke="#dddddd" stroke-width="1"/>'
+        )
+    styles = (("#111111", 2.0), ("#888888", 1.2), ("#c0392b", 1.2), ("#2980b9", 1.2))
+    for i, (xs, ys) in enumerate(data):
+        color, stroke = styles[i % len(styles)]
+        pts = " ".join(f"{px(float(x)):.3f},{py(float(y)):.3f}" for x, y in zip(xs, ys))
+        parts.append(
+            f'<polyline points="{pts}" fill="none" stroke="{color}" '
+            f'stroke-width="{stroke}"/>'
+        )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
 
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -466,9 +488,7 @@ class TestBulkWritersMatchPerNumberCode:
     )
     def test_svg_for_curves(self, curves):
         curves = [(np.array([x for x, _ in c]), np.array([y for _, y in c])) for c in curves]
-        svg = svg_for_curves(curves)
-        points = [line.split('"')[1] for line in svg.splitlines() if line.startswith("<polyline")]
-        assert points == _oracle_polylines(curves)
+        assert svg_for_curves(curves) == _oracle_svg(curves)
 
     def test_svg_of_a_huge_constant(self):
         # x_lo + 1.0 rounds back to x_lo from 2**53 up; the per-number code
@@ -482,9 +502,7 @@ class TestBulkWritersMatchPerNumberCode:
         p = build_adversarial_profile(33.6, 5000.0, 1.3, "sin_squared")
         xs, ys = p.position.xs, p.position.ys
         curves = [(xs, ys), (xs + 1.3, ys)]
-        svg = svg_for_curves(curves)
-        points = [line.split('"')[1] for line in svg.splitlines() if line.startswith("<polyline")]
-        assert points == _oracle_polylines(curves)
+        assert svg_for_curves(curves) == _oracle_svg(curves)
 
 
 def test_writers_at_scale_within_budget(tmp_path):
