@@ -6,9 +6,10 @@ Three families:
   signed distance to the set's boundary (piecewise linear, slopes +-1).
 * :func:`eval_generalized` evaluates the same idea with an arbitrary
   two-argument profile applied to the distances to the nearest boundary
-  points on either side; :func:`eval_smooth` specializes to the flat
-  exponential profile, which is infinitely differentiable in the interior
-  of every component.
+  points on either side.  One call to :meth:`ClosedIntervalSet.locate`
+  per point gives those points and the sign.  :func:`eval_smooth`
+  specializes to the flat exponential profile, which is infinitely
+  differentiable in the interior of every component.
 * :func:`build_levy` produces a function on [0, W] with equal endpoint
   values that has no horizontal chord of a chosen length h, whenever W
   is not an integer multiple of h.  (When it is, such a chord is forced;
@@ -27,29 +28,25 @@ import numpy as np
 from .intervals import (
     ClosedIntervalSet,
     ValidationError,
-    boundary_projections,
-    complement_components,
     tolerance,
     validate_chord_spec,
     whole_ratio,
 )
 from .piecewise import PiecewiseLinearFunction
 
-SHAPE_KINDS = ("exp_flat", "sin_squared", "triangle_wave")
+SHAPE_KINDS = ("sin_squared", "triangle_wave")
 
 
 @dataclass(frozen=True)
 class SmoothShapeSpec:
-    """A named one-dimensional shape used by the builders.
+    """A named periodic shape used by :func:`build_levy`.
 
-    * ``exp_flat``: amplitude * exp(-1/u) for u > 0, and 0 for u <= 0.
-      Flat to all orders at 0. ``period`` is ignored.
     * ``sin_squared``: amplitude * sin(pi x / period) ** 2, periodic.
     * ``triangle_wave``: periodic tent of height ``amplitude``, zero at
       multiples of ``period``, peak at half-periods.
     """
 
-    kind: str = "exp_flat"
+    kind: str
     period: float = 1.0
     amplitude: float = 1.0
 
@@ -61,19 +58,11 @@ class SmoothShapeSpec:
         if not (math.isfinite(self.amplitude) and self.amplitude > 0):
             raise ValueError(f"amplitude must be positive and finite, got {self.amplitude!r}")
 
-    @property
-    def is_periodic(self) -> bool:
-        return self.kind != "exp_flat"
-
     def __call__(self, x):
         u = np.asarray(x, dtype=np.float64)
         scalar = u.ndim == 0
         u = np.atleast_1d(u)
-        if self.kind == "exp_flat":
-            safe = np.where(u > 0, u, 1.0)
-            with np.errstate(divide="ignore"):
-                out = np.where(u > 0, self.amplitude * np.exp(-1.0 / safe), 0.0)
-        elif self.kind == "sin_squared":
+        if self.kind == "sin_squared":
             out = self.amplitude * np.sin(np.pi * u / self.period) ** 2
         else:
             frac = u / self.period - np.floor(u / self.period)
@@ -137,7 +126,7 @@ def build_hopf(spec) -> PiecewiseLinearFunction:
         if not iv.degenerate:
             points.append((0.5 * (iv.lo + iv.hi), 0.5 * iv.length))
             points.append((iv.hi, 0.0))
-    for glo, ghi in complement_components(s).gaps:
+    for glo, ghi in s.gaps:
         points.append((0.5 * (glo + ghi), -0.5 * (ghi - glo)))
     points.sort()
     arr = np.asarray(points)
@@ -191,11 +180,10 @@ def _shape_check_scale(s: ClosedIntervalSet) -> float:
 
 
 def _eval_signed_one(s: ClosedIntervalSet, fn: Callable[[float, float], float], x: float) -> float:
-    sign = s.membership_sign(x)
-    proj = boundary_projections(s, x)
-    if proj.alpha == 0.0 and proj.beta == 0.0:
+    sign, a, b = s.locate(x)
+    if sign == 0:
         return 0.0
-    val = float(fn(proj.alpha, proj.beta))
+    val = float(fn(x - a, b - x))
     if sign < 0:
         # Negate rather than multiply so an underflowed magnitude keeps
         # its sign bit (-0.0), which downstream sign probes rely on.
@@ -257,8 +245,6 @@ def build_levy(
         raise ValueError(f"need total width > h > 0, got width {total_width!r}, h {h!r}")
     if shape is None:
         shape = SmoothShapeSpec("triangle_wave", period=h, amplitude=1.0)
-    if not shape.is_periodic:
-        raise ValueError(f"shape kind {shape.kind!r} is not periodic; use sin_squared or triangle_wave")
     if abs(shape.period - h) > tolerance(h):
         raise ValueError(
             f"shape period {shape.period:g} must equal the avoided length {h:g}"

@@ -28,7 +28,7 @@ from .io import (
     svg_for_curves,
     write_chord_scan,
 )
-from .oracle import _scan_with_set
+from .oracle import _MAX_POINTS, _scan_with_set
 from .race import build_adversarial_profile, exists_average_split, find_average_split
 
 _PHI_KINDS = {"triangle": "triangle_wave", "sin2": "sin_squared"}
@@ -88,7 +88,7 @@ def _cmd_construct(args) -> int:
     spacing = args.resolution if args.resolution is not None else s.sup / 1000.0
     if not (spacing > 0 and math.isfinite(spacing)):
         raise ValueError(f"resolution must be positive and finite, got {spacing:g}")
-    if not math.isfinite(s.sup / spacing):
+    if not s.sup / spacing < _MAX_POINTS:
         raise ValueError(f"resolution {spacing:g} gives too many samples over [0, {s.sup:g}]")
     count = max(int(round(s.sup / spacing)) + 1, 2)
     xs, ys = sf.sample(count)

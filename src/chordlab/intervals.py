@@ -5,8 +5,11 @@ contains 0.  The set is *admissible* (realizable as the exact horizontal
 chord set of some continuous function with equal endpoint values) exactly
 when its complement in (0, infinity), that is the gaps below sup together
 with the tail (sup, infinity), is closed under addition.  This module
-represents such sets, validates admissibility, and answers
-nearest-boundary queries.
+represents such sets and validates admissibility.  It is also the one
+place that relates a point to a set's boundary:
+:meth:`ClosedIntervalSet.locate` gives the side of the set a point lies
+on and its neighbouring boundary points, with one search and one
+snapping rule.
 
 It also holds chordlab's tolerance policy: values computed from a
 piecewise linear function are compared exactly, and inputs are matched
@@ -78,15 +81,6 @@ class Interval:
 
 
 @dataclass(frozen=True)
-class GapList:
-    """Open gaps (lo, hi) between the intervals of a set, plus the open
-    tail (tail_start, infinity) that follows the last interval."""
-
-    gaps: tuple[tuple[float, float], ...]
-    tail_start: float
-
-
-@dataclass(frozen=True)
 class ClosedIntervalSet:
     """Finite union of disjoint closed intervals starting at 0.
 
@@ -97,9 +91,14 @@ class ClosedIntervalSet:
     """
 
     intervals: tuple[Interval, ...]
+    # All interval endpoints, ascending, duplicates collapsed.
+    boundary: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    # The open gaps (hi_k, lo_k+1) between consecutive intervals.
+    gaps: tuple[tuple[float, float], ...] = field(init=False, repr=False, compare=False)
     _slack: float = field(init=False, repr=False, compare=False)
-    _boundary: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    _los: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    # Sign of the segment that starts at each boundary point: +1 inside an
+    # interval, -1 in a gap; the last one is the tail's.
+    _signs: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         converted = []
@@ -137,13 +136,17 @@ class ClosedIntervalSet:
             converted[0] = Interval(0.0, first.hi)
         object.__setattr__(self, "intervals", tuple(converted))
         object.__setattr__(self, "_slack", slack)
-        boundary = []
+        boundary, signs = [], []
         for iv in self.intervals:
             boundary.append(iv.lo)
             if not iv.degenerate:
                 boundary.append(iv.hi)
-        object.__setattr__(self, "_boundary", tuple(boundary))
-        object.__setattr__(self, "_los", tuple(iv.lo for iv in self.intervals))
+                signs.append(1)
+            signs.append(-1)
+        object.__setattr__(self, "boundary", tuple(boundary))
+        object.__setattr__(self, "_signs", tuple(signs))
+        pairs = zip(self.intervals, self.intervals[1:])
+        object.__setattr__(self, "gaps", tuple((prev.hi, cur.lo) for prev, cur in pairs))
 
     @property
     def sup(self) -> float:
@@ -160,29 +163,31 @@ class ClosedIntervalSet:
         """
         return self.intervals[0].hi
 
-    @property
-    def boundary(self) -> tuple[float, ...]:
-        """All interval endpoints, ascending, duplicates collapsed."""
-        return self._boundary
+    def locate(self, x: float) -> tuple[int, float, float]:
+        """Where x lies relative to the boundary, as (sign, a, b).
 
-    def membership_sign(self, x: float) -> int:
-        """Return 0 if x lies on the boundary (within the tolerance of
-        sup), +1 if strictly inside an interval, -1 if in a gap or outside
-        [0, sup]."""
+        Within the tolerance of sup of a boundary point p (the nearer one,
+        the lower on a tie) it is (0, p, p).  Otherwise a < x < b are the
+        neighbouring boundary points and the sign is +1 inside an interval,
+        -1 in a gap.  Raises ValidationError outside [0, sup].
+        """
         x = float(x)
-        i = bisect.bisect_right(self._los, x)
-        for j in (i - 1, i):
-            if 0 <= j < len(self.intervals):
-                iv = self.intervals[j]
-                if abs(x - iv.lo) <= self._slack or abs(x - iv.hi) <= self._slack:
-                    return 0
-        if i == 0:
-            return -1
-        iv = self.intervals[i - 1]
-        return 1 if x < iv.hi else -1
+        if not -self._slack <= x <= self.sup + self._slack:
+            raise ValidationError(
+                f"point {x:g} is outside the domain [0, {self.sup:g}] of the set"
+            )
+        x = min(max(x, 0.0), self.sup)
+        bdry = self.boundary
+        i = bisect.bisect_left(bdry, x)
+        a, b = (bdry[i - 1] if i else -math.inf), bdry[i]
+        if min(x - a, b - x) <= self._slack:
+            p = a if x - a <= b - x else b
+            return 0, p, p
+        return self._signs[i - 1], a, b
 
     def contains(self, x: float) -> bool:
-        return self.membership_sign(x) >= 0
+        x = float(x)
+        return -self._slack <= x <= self.sup + self._slack and self.locate(x)[0] >= 0
 
     def to_pairs(self) -> list[list[float]]:
         return [[iv.lo, iv.hi] for iv in self.intervals]
@@ -195,27 +200,6 @@ class ClosedIntervalSet:
             raise
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"could not parse interval pairs: {exc}") from exc
-
-    @classmethod
-    def from_gaps(cls, gaps: GapList) -> "ClosedIntervalSet":
-        """Rebuild the set whose complement in (0, tail_start) is exactly
-        the given gaps.  Inverse of :func:`complement_components`."""
-        intervals = []
-        cursor = 0.0
-        for lo, hi in gaps.gaps:
-            intervals.append((cursor, lo))
-            cursor = hi
-        intervals.append((cursor, gaps.tail_start))
-        return cls.from_pairs(intervals)
-
-
-def complement_components(s: ClosedIntervalSet) -> GapList:
-    """Open components of the complement of s within (0, sup), plus the tail."""
-    gaps = []
-    for prev, cur in zip(s.intervals, s.intervals[1:]):
-        gaps.append((prev.hi, cur.lo))
-    return GapList(tuple(gaps), s.sup)
-
 
 @dataclass(frozen=True)
 class AdditivityResult:
@@ -237,8 +221,7 @@ def is_additive(s: ClosedIntervalSet) -> AdditivityResult:
     On failure the counterexample is a pair (a, b) of complement elements
     whose sum a + b lies in s.
     """
-    comp = complement_components(s)
-    gaps = comp.gaps
+    gaps = s.gaps
     slack = s._slack
     supremum = s.sup
     for j, (p1, q1) in enumerate(gaps):
@@ -330,44 +313,3 @@ def validate_chord_spec(spec: "ClosedIntervalSet | Iterable[Sequence[float]]") -
     else:
         detail = f"additive: yes, l = {s.gap_infimum:g}"
     return ValidationReport((structure, CheckResult("additivity", add.additive, detail)), s)
-
-
-@dataclass(frozen=True)
-class BoundaryProjection:
-    """Nearest boundary points around x: a <= x <= b with a, b in the
-    boundary of the set, alpha = x - a, beta = b - x."""
-
-    a: float
-    b: float
-    alpha: float
-    beta: float
-
-
-def boundary_projections(s: ClosedIntervalSet, x: float) -> BoundaryProjection:
-    """Project x onto the boundary of s from both sides.
-
-    For x inside an interval or gap, a and b are the component's endpoints.
-    On the boundary (within the tolerance of sup) the projection collapses:
-    a = b = x and alpha = beta = 0.  Raises ValidationError outside
-    [0, sup].
-    """
-    x = float(x)
-    if x < -s._slack or x > s.sup + s._slack:
-        raise ValidationError(
-            f"point {x:g} is outside the domain [0, {s.sup:g}] of the set"
-        )
-    x = min(max(x, 0.0), s.sup)
-    bdry = s.boundary
-    i = bisect.bisect_left(bdry, x)
-    best = None
-    for j in (i - 1, i):
-        if 0 <= j < len(bdry):
-            d = abs(x - bdry[j])
-            if best is None or d < best[1]:
-                best = (j, d)
-    if best is not None and best[1] <= s._slack:
-        p = bdry[best[0]]
-        return BoundaryProjection(p, p, 0.0, 0.0)
-    a = bdry[i - 1]
-    b = bdry[i]
-    return BoundaryProjection(a, b, x - a, b - x)

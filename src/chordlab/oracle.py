@@ -12,7 +12,6 @@ module also gives the sign-change lower bound on guaranteed chord lengths.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,6 +135,10 @@ class ChordScan:
     resolution: float
 
 
+# Most float64 values one numpy array can hold: its size in bytes must fit an intp.
+_MAX_POINTS = np.iinfo(np.intp).max // 8
+
+
 def _grid(f: PiecewiseLinearFunction, resolution: float) -> np.ndarray:
     """Uniform grid of lengths over [0, width], validating resolution."""
     w = f.width
@@ -145,7 +148,7 @@ def _grid(f: PiecewiseLinearFunction, resolution: float) -> np.ndarray:
     if not (0 < resolution <= w):
         raise ValueError(f"resolution must lie in (0, {w:g}], got {resolution:g}")
     steps = w / resolution
-    if not math.isfinite(steps):
+    if not steps < _MAX_POINTS:
         raise ValueError(f"resolution {resolution:g} gives too many grid lengths over width {w:g}")
     grid = np.arange(int(np.floor(steps + tolerance(steps))) + 1) * resolution
     return np.append(grid[grid < w - tolerance(w)], w)

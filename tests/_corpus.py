@@ -1,6 +1,7 @@
 """Shared fixtures: the golden sawtooth chord set, random generators
 for admissible sets, zero-ended piecewise linear functions and race
-profiles, and a Hypothesis strategy for structurally valid layouts.
+profiles, a Hypothesis strategy for structurally valid layouts, and a
+brute-force reference for locating points against a set's boundary.
 
 The random chord sets are built the honest way: start from random open
 gaps, close them under addition (so the complement is additive by
@@ -13,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import strategies as st
 
-from chordlab import ClosedIntervalSet, PiecewiseLinearFunction, RaceProfile, is_additive
+from chordlab import ClosedIntervalSet, PiecewiseLinearFunction, RaceProfile, is_additive, tolerance
 
 SAWTOOTH_PAIRS = [[0, 0.9], [1.1, 1.8], [2.2, 2.7], [3.3, 3.6], [4.4, 4.4]]
 
@@ -177,3 +178,25 @@ def interval_layouts(draw):
         if i < n - 1:
             cursor = hi + lengths[2 * i + 1]
     return pairs
+
+
+def reference_locator(pairs):
+    """Brute-force counterpart of ``ClosedIntervalSet.locate`` built from
+    [lo, hi] pairs alone: a scan over every endpoint.  Returns a function
+    of x giving (sign, a, b), or None outside the domain [0, sup]."""
+    sup = pairs[-1][1]
+    slack = tolerance(sup)
+    ends = sorted({e for pair in pairs for e in pair})
+
+    def locate(x):
+        if not -slack <= x <= sup + slack:
+            return None
+        x = min(max(x, 0.0), sup)
+        near = min(ends, key=lambda e: (abs(x - e), e))
+        if abs(x - near) <= slack:
+            return 0, near, near
+        a = max(e for e in ends if e < x)
+        b = min(e for e in ends if e > x)
+        return (1 if any(lo < x < hi for lo, hi in pairs) else -1), a, b
+
+    return locate

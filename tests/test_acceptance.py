@@ -15,7 +15,6 @@ from chordlab import (
     build_hopf,
     build_levy,
     chord_set_scan,
-    complement_components,
     eval_smooth,
     exists_average_split,
     find_average_split,
@@ -157,14 +156,14 @@ def test_acceptance_6_random_admissible_sets_realized():
                     assert res.exists
                     w = res.witness_x
                     assert abs(f(w + s_len) - f(w)) <= 1e-9
-            for glo, ghi in complement_components(s).gaps:
+            for glo, ghi in s.gaps:
                 for frac in (0.25, 0.5, 0.75):
                     assert not has_horizontal_chord(f, glo + frac * (ghi - glo)).exists
         # absent lengths force strictly decreasing increments everywhere
         per_set = 50
         for s in sets:
             f = build_hopf(s)
-            gaps = complement_components(s).gaps
+            gaps = s.gaps
             for _ in range(per_set):
                 glo, ghi = gaps[int(rng.integers(len(gaps)))]
                 s_star = glo + float(rng.uniform(0.05, 0.95)) * (ghi - glo)

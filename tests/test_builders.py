@@ -16,9 +16,10 @@ from chordlab import (
     eval_smooth,
     has_horizontal_chord,
     smooth_chord_function,
+    tolerance,
 )
 from chordlab.intervals import whole_ratio
-from _corpus import SAWTOOTH_PAIRS
+from _corpus import SAWTOOTH_PAIRS, random_chord_set, reference_locator
 
 EXPECTED_SAWTOOTH_BREAKPOINTS = [
     (0.0, 0.0), (0.45, 0.45), (0.9, 0.0),
@@ -36,7 +37,11 @@ def sawtooth_set():
 
 class TestSmoothShapeSpec:
     def test_kinds_exposed(self):
-        assert set(SHAPE_KINDS) == {"exp_flat", "sin_squared", "triangle_wave"}
+        assert set(SHAPE_KINDS) == {"sin_squared", "triangle_wave"}
+
+    def test_kind_is_required(self):
+        with pytest.raises(TypeError, match="kind"):
+            SmoothShapeSpec()
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="shape kind"):
@@ -48,19 +53,11 @@ class TestSmoothShapeSpec:
         with pytest.raises(ValueError, match="amplitude"):
             SmoothShapeSpec("sin_squared", amplitude=-1.0)
 
-    def test_exp_flat_values(self):
-        shape = SmoothShapeSpec("exp_flat")
-        assert shape(0.0) == 0.0
-        assert shape(-3.0) == 0.0
-        assert shape(1.0) == pytest.approx(math.exp(-1.0), rel=1e-14)
-        assert not shape.is_periodic
-
     def test_sin_squared_period(self):
         shape = SmoothShapeSpec("sin_squared", period=2.0, amplitude=3.0)
         assert shape(0.0) == pytest.approx(0.0, abs=1e-15)
         assert shape(2.0) == pytest.approx(0.0, abs=1e-14)
         assert shape(1.0) == pytest.approx(3.0)
-        assert shape.is_periodic
 
     def test_triangle_wave_shape(self):
         shape = SmoothShapeSpec("triangle_wave", period=1.0, amplitude=2.0)
@@ -134,6 +131,30 @@ class TestEvalSmooth:
         inside = eval_smooth(s, 0.0045)
         assert inside == 0.0
         assert math.copysign(1.0, inside) == 1.0
+
+    def test_bitwise_equal_to_reference(self, sawtooth_set):
+        # per-point reference from the pairs alone: the same floating-point
+        # operations, so every bit must agree, the sign bit of -0.0 included
+        def reference(s, xs):
+            locate = reference_locator(s.to_pairs())
+            out = []
+            for x in xs.tolist():
+                sign, a, b = locate(x)
+                ab = (x - a) * (b - x)
+                val = math.exp(-1.0 / ab) if sign and ab > 0.0 else 0.0
+                out.append(-val if sign < 0 else val)
+            return np.array(out)
+
+        rng = np.random.default_rng(10)
+        sets = [(sawtooth_set, 4097)] + [(random_chord_set(rng), 513) for _ in range(6)]
+        for s, n in sets:
+            slack = tolerance(s.sup)
+            near = np.array(s.boundary)[:, None] + [-2 * slack, -0.5 * slack, 0.5 * slack, 2 * slack]
+            xs = np.concatenate([np.linspace(0.0, s.sup, n), near.ravel()])
+            xs = xs[(xs >= 0.0) & (xs <= s.sup)]
+            want = reference(s, xs)
+            assert (np.signbit(want) & (want == 0.0)).any()  # -0.0 occurs
+            np.testing.assert_array_equal(eval_smooth(s, xs).view(np.uint64), want.view(np.uint64))
 
     def test_domain_check(self, sawtooth_set):
         with pytest.raises(ValidationError, match="outside the domain"):
@@ -291,10 +312,6 @@ class TestBuildLevy:
     def test_period_must_match(self):
         with pytest.raises(ValueError, match="period"):
             build_levy(1.5, 1.0, SmoothShapeSpec("triangle_wave", period=0.7))
-
-    def test_shape_must_be_periodic(self):
-        with pytest.raises(ValueError, match="not periodic"):
-            build_levy(1.5, 1.0, SmoothShapeSpec("exp_flat", period=1.0))
 
     def test_amplitude_scales_result(self):
         f = build_levy(1.5, 1.0, SmoothShapeSpec("triangle_wave", period=1.0, amplitude=2.0))

@@ -213,19 +213,31 @@ class TestUnhonourableResolution:
         capsys.readouterr()
         return str(fn_path)
 
-    def test_chords_step_count_overflows(self, spec_path, tmp_path, capsys):
-        fn_path = self._fn_path(spec_path, tmp_path, capsys)
-        out = tmp_path / "scan.csv"
-        assert main(["chords", fn_path, "--resolution", "5e-324", "--output", str(out)]) == 1
-        assert capsys.readouterr().err.startswith("error: resolution 4.94066e-324 gives too many")
-        assert not out.exists()
+    # past the float range, and past the largest array numpy can hold: both
+    # are refused before anything is allocated
+    HUGE = ("5e-324", "1e-300", "1e-18")
 
-    def test_construct_sample_count_overflows(self, spec_path, capsys):
-        argv = ["construct", spec_path, "--shape", "smooth", "--resolution", "5e-324"]
-        assert main(argv) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: resolution 4.94066e-324 gives too many samples")
+    def test_chords_step_count_overflows(self, spec_path, tmp_path, capsys, monkeypatch):
+        fn_path = self._fn_path(spec_path, tmp_path, capsys)
+        _refuse_huge(monkeypatch, "arange", 0)
+        out = tmp_path / "scan.csv"
+        for resolution in self.HUGE:
+            assert main(["chords", fn_path, "--resolution", resolution, "--output", str(out)]) == 1
+            assert capsys.readouterr().err == (
+                f"error: resolution {float(resolution):g} gives too many grid lengths over width 4.4\n"
+            )
+            assert not out.exists()
+
+    def test_construct_sample_count_overflows(self, spec_path, capsys, monkeypatch):
+        _refuse_huge(monkeypatch, "linspace", 2)
+        for resolution in self.HUGE:
+            argv = ["construct", spec_path, "--shape", "smooth", "--resolution", resolution]
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                f"error: resolution {float(resolution):g} gives too many samples over [0, 4.4]\n"
+            )
 
     def test_chords_out_of_memory(self, spec_path, tmp_path, capsys, monkeypatch):
         fn_path = self._fn_path(spec_path, tmp_path, capsys)

@@ -10,13 +10,11 @@ from chordlab import (
     ClosedIntervalSet,
     Interval,
     ValidationError,
-    boundary_projections,
-    complement_components,
     is_additive,
     tolerance,
     validate_chord_spec,
 )
-from _corpus import SAWTOOTH_PAIRS, interval_layouts
+from _corpus import SAWTOOTH_PAIRS, interval_layouts, reference_locator
 
 
 @pytest.fixture
@@ -58,16 +56,17 @@ class TestClosedIntervalSet:
         assert sawtooth.intervals[-1].degenerate
         assert sawtooth.boundary == (0.0, 0.9, 1.1, 1.8, 2.2, 2.7, 3.3, 3.6, 4.4)
 
-    def test_membership_signs(self, sawtooth):
-        assert sawtooth.membership_sign(0.45) == 1
-        assert sawtooth.membership_sign(1.0) == -1
-        assert sawtooth.membership_sign(0.9) == 0
-        assert sawtooth.membership_sign(4.4) == 0
-        assert sawtooth.membership_sign(4.0) == -1
-        assert sawtooth.membership_sign(5.0) == -1
-        assert sawtooth.membership_sign(-0.3) == -1
+    def test_locate_signs(self, sawtooth):
+        assert sawtooth.locate(0.45) == (1, 0.0, 0.9)
+        assert sawtooth.locate(1.0) == (-1, 0.9, 1.1)
+        assert sawtooth.locate(0.9) == (0, 0.9, 0.9)
+        assert sawtooth.locate(4.4) == (0, 4.4, 4.4)
+        assert sawtooth.locate(4.0) == (-1, 3.6, 4.4)
         # within tolerance of a boundary point counts as boundary
-        assert sawtooth.membership_sign(1.8 + 2e-10) == 0
+        assert sawtooth.locate(1.8 + 2e-10) == (0, 1.8, 1.8)
+        # outside [0, sup] no point is a member
+        assert not sawtooth.contains(5.0)
+        assert not sawtooth.contains(-0.3)
 
     def test_contains(self, sawtooth):
         assert sawtooth.contains(0.0)
@@ -104,13 +103,14 @@ class TestClosedIntervalSet:
         s = ClosedIntervalSet.from_pairs([[0, 0]])
         assert s.sup == 0.0
         assert s.gap_infimum == 0.0
-        assert s.membership_sign(0.0) == 0
+        assert s.gaps == ()
+        assert s.locate(0.0) == (0, 0.0, 0.0)
 
     def test_gap_round_trip(self, sawtooth):
-        comp = complement_components(sawtooth)
-        assert comp.gaps == ((0.9, 1.1), (1.8, 2.2), (2.7, 3.3), (3.6, 4.4))
-        assert comp.tail_start == 4.4
-        again = ClosedIntervalSet.from_gaps(comp)
+        assert sawtooth.gaps == ((0.9, 1.1), (1.8, 2.2), (2.7, 3.3), (3.6, 4.4))
+        # the intervals are what the gaps leave of [0, sup]
+        ends = [0.0] + [e for gap in sawtooth.gaps for e in gap] + [sawtooth.sup]
+        again = ClosedIntervalSet.from_pairs(zip(ends[::2], ends[1::2]))
         assert again == sawtooth
 
 
@@ -123,9 +123,9 @@ class TestAdditivity:
         res = is_additive(s)
         assert not res.additive
         a, b = res.counterexample
-        assert s.membership_sign(a) < 0
-        assert s.membership_sign(b) < 0
-        assert s.membership_sign(a + b) >= 0
+        assert s.locate(a)[0] == -1
+        assert s.locate(b)[0] == -1
+        assert s.contains(a + b)
 
     def test_single_interval_always_additive(self):
         s = ClosedIntervalSet.from_pairs([[0, 3.0]])
@@ -182,34 +182,25 @@ class TestValidateChordSpec:
         assert "inf" in report.summary()
 
 
-class TestBoundaryProjections:
+class TestLocate:
     def test_interior_of_interval(self, sawtooth):
-        proj = boundary_projections(sawtooth, 0.3)
-        assert proj.a == 0.0
-        assert proj.b == 0.9
-        assert proj.alpha == pytest.approx(0.3)
-        assert proj.beta == pytest.approx(0.6)
+        assert sawtooth.locate(0.3) == (1, 0.0, 0.9)
 
     def test_gap_point(self, sawtooth):
-        proj = boundary_projections(sawtooth, 1.0)
-        assert (proj.a, proj.b) == (0.9, 1.1)
-        assert proj.alpha == pytest.approx(0.1)
-        assert proj.beta == pytest.approx(0.1)
+        assert sawtooth.locate(1.0) == (-1, 0.9, 1.1)
 
     def test_boundary_snaps(self, sawtooth):
-        proj = boundary_projections(sawtooth, 0.9)
-        assert proj.a == proj.b == 0.9
-        assert proj.alpha == proj.beta == 0.0
+        assert sawtooth.locate(0.9) == (0, 0.9, 0.9)
+        assert sawtooth.locate(0.9 - 2e-10) == (0, 0.9, 0.9)
 
     def test_between_last_interval_and_top_point(self, sawtooth):
-        proj = boundary_projections(sawtooth, 4.0)
-        assert (proj.a, proj.b) == (3.6, 4.4)
+        assert sawtooth.locate(4.0) == (-1, 3.6, 4.4)
 
     def test_outside_domain(self, sawtooth):
-        with pytest.raises(ValidationError, match="outside the domain"):
-            boundary_projections(sawtooth, 4.6)
-        with pytest.raises(ValidationError, match="outside the domain"):
-            boundary_projections(sawtooth, -0.2)
+        for x in (4.6, -0.2, float("nan")):
+            with pytest.raises(ValidationError, match="outside the domain"):
+                sawtooth.locate(x)
+            assert not sawtooth.contains(x)
 
 
 @settings(max_examples=60, deadline=None)
@@ -219,9 +210,10 @@ def test_structure_invariants_hold(pairs):
     assert s.sup == pairs[-1][1]
     assert s.gap_infimum == pairs[0][1]
     for lo, hi in pairs:
-        assert s.membership_sign(0.5 * (lo + hi)) >= 0
+        assert s.locate(0.5 * (lo + hi))[0] == 1
     for (_, hi), (lo2, _) in zip(pairs, pairs[1:]):
-        assert s.membership_sign(0.5 * (hi + lo2)) == -1
+        assert s.locate(0.5 * (hi + lo2))[0] == -1
+    assert s.gaps == tuple((hi, lo2) for (_, hi), (lo2, _) in zip(pairs, pairs[1:]))
     again = ClosedIntervalSet.from_pairs(s.to_pairs())
     assert again == s
 
@@ -231,13 +223,33 @@ def test_structure_invariants_hold(pairs):
 def test_projection_brackets_the_point(pairs, frac):
     s = ClosedIntervalSet.from_pairs(pairs)
     x = frac * s.sup
-    proj = boundary_projections(s, x)
+    sign, a, b = s.locate(x)
     slack = tolerance(s.sup)
-    assert proj.a <= x + slack
-    assert proj.b >= x - slack
-    assert proj.alpha >= 0.0 and proj.beta >= 0.0
-    assert proj.a + proj.alpha == pytest.approx(x, abs=slack)
-    assert proj.b - proj.beta == pytest.approx(x, abs=slack)
+    assert a in s.boundary and b in s.boundary
+    if sign == 0:
+        assert a == b and abs(x - a) <= slack
+    else:
+        # a and b are neighbours on the boundary, each farther than the slack
+        assert a + slack < x < b - slack
+        assert s.boundary.index(b) == s.boundary.index(a) + 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(interval_layouts(), st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=20))
+def test_locate_matches_brute_force(pairs, fracs):
+    s = ClosedIntervalSet.from_pairs(pairs)
+    reference = reference_locator(s.to_pairs())
+    slack = tolerance(s.sup)
+    offsets = (-2.0 * slack, -0.5 * slack, 0.0, 0.5 * slack, 2.0 * slack)
+    points = [f * s.sup for f in fracs] + [p + d for p in s.boundary for d in offsets]
+    for x in points:
+        want = reference(x)
+        if want is None:
+            with pytest.raises(ValidationError, match="outside the domain"):
+                s.locate(x)
+        else:
+            assert s.locate(x) == want, x
+        assert s.contains(x) == (want is not None and want[0] >= 0), x
 
 
 def test_no_public_callable_takes_tol():
