@@ -149,6 +149,8 @@ def _cmd_plot(args) -> int:
         xs, ys = f.xs, f.ys
     curves = [(xs, ys)]
     if shift is not None:
+        if not (math.isfinite(float(xs[0]) + shift) and math.isfinite(float(xs[-1]) + shift)):
+            raise ValueError(f"overlay shift {shift:g} moves the curve past the largest float")
         curves.append((xs + shift, ys))
     Path(args.output).write_text(svg_for_curves(curves))
     print(f"wrote {args.output}")

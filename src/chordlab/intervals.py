@@ -215,13 +215,17 @@ def is_additive(s: ClosedIntervalSet) -> AdditivityResult:
     interval, and since the complement's components are the connected pieces,
     the sum interval is contained in the complement iff it is contained in a
     single component.  So the pairwise check over gap components is exact.
-    Sums that start at or beyond sup land in the tail and always pass.
-    Containment is judged within the tolerance of sup.
+    Sums that start at or beyond sup land in the tail and always pass, as
+    do the later, larger sums with the same first gap.  Containment is
+    judged within the tolerance of sup.  The gaps are sorted and disjoint,
+    so of those starting by the sum's start the last one reaches farthest,
+    and it is the only one tested.
 
     On failure the counterexample is a pair (a, b) of complement elements
     whose sum a + b lies in s.
     """
     gaps = s.gaps
+    starts = [p for p, _ in gaps]
     slack = s._slack
     supremum = s.sup
     for j, (p1, q1) in enumerate(gaps):
@@ -229,9 +233,9 @@ def is_additive(s: ClosedIntervalSet) -> AdditivityResult:
             lo = p1 + p2
             hi = q1 + q2
             if lo >= supremum - slack:
-                continue
-            contained = any(glo <= lo + slack and hi <= ghi + slack for glo, ghi in gaps)
-            if not contained:
+                break
+            k = bisect.bisect_right(starts, lo + slack) - 1
+            if k < 0 or hi > gaps[k][1] + slack:
                 pair = _sum_counterexample(s, (p1, q1), (p2, q2), lo, hi)
                 return AdditivityResult(False, pair)
     return AdditivityResult(True)

@@ -18,12 +18,13 @@ pairs with one row per line, indented by four::
 Writers handle a table at once, not one number at a time: the
 ``*_to_obj`` functions round whole arrays in numpy (:func:`_round12`),
 and a table of float rows, a CSV file or a polyline is formatted with
-one printf-style call over all its numbers.  Each writes the bytes that
-formatting one number at a time would."""
+one printf-style call over all its numbers, whatever its size.  Each
+writes the bytes that formatting one number at a time would."""
 
 from __future__ import annotations
 
 import json
+import math
 from itertools import chain
 from pathlib import Path
 
@@ -35,8 +36,8 @@ from .piecewise import PiecewiseLinearFunction
 from .race import RaceProfile
 
 
-# Tables of at most this many numbers are rounded and formatted one
-# number at a time: there numpy's per-call cost exceeds the loop's.
+# Tables of at most this many numbers are rounded one number at a time:
+# there numpy's per-call cost exceeds the loop's.
 _LOOP_MAX = 64
 
 # 10**k for k = -22 .. 22 as the quotient _UP / _DOWN of two exact
@@ -186,8 +187,8 @@ _TINY = np.finfo(np.float64).tiny
 def _float_rows(value) -> str | None:
     """A list of [float, float] rows in the layout of :func:`format_json`,
     written with one format call over all its numbers; None if ``value``
-    is anything else, or small enough that json.dumps is faster."""
-    if not (isinstance(value, list) and 2 * len(value) > _LOOP_MAX):
+    is anything else."""
+    if not isinstance(value, list):
         return None
     if set(map(type, value)) != {list} or set(map(len, value)) != {2}:
         return None
@@ -271,13 +272,17 @@ def svg_for_curves(curves) -> str:
         x_hi = x_lo + max(1.0, abs(x_lo) * 2.0**-52)
     if y_hi - y_lo <= 0:
         y_hi = y_lo + max(1.0, abs(y_lo) * 2.0**-52)
+    # a range past the largest float is halved before subtracting, which is
+    # exact for normal values and leaves every ratio below as it was
+    kx = 1.0 if math.isfinite(x_hi - x_lo) else 0.5
+    ky = 1.0 if math.isfinite(y_hi - y_lo) else 0.5
 
     # on floats and, elementwise with the same roundings, on arrays
     def px(x):
-        return pad + (x - x_lo) / (x_hi - x_lo) * (width - 2 * pad)
+        return pad + (x * kx - x_lo * kx) / (x_hi * kx - x_lo * kx) * (width - 2 * pad)
 
     def py(y):
-        return height - pad - (y - y_lo) / (y_hi - y_lo) * (height - 2 * pad)
+        return height - pad - (y * ky - y_lo * ky) / (y_hi * ky - y_lo * ky) * (height - 2 * pad)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '

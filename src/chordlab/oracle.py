@@ -12,6 +12,7 @@ module also gives the sign-change lower bound on guaranteed chord lengths.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,6 +98,11 @@ def chord_set(f: PiecewiseLinearFunction) -> ClosedIntervalSet:
     ranges (a flat piece sweeps its whole x-range).  Gaps of a few ulps
     in the union are rounding and are closed, since they break additivity."""
     xs, ys = f.xs, f.ys
+    if not math.isfinite(float(ys.max()) - float(ys.min())):
+        raise ValueError(
+            f"function values span [{float(ys.min()):g}, {float(ys.max()):g}], "
+            "a range past the largest float; scale them down"
+        )
     n = xs.size - 1
     vmin, vmax = np.minimum(ys[:-1], ys[1:]), np.maximum(ys[:-1], ys[1:])
     flat = ys[:-1] == ys[1:]
@@ -139,8 +145,9 @@ class ChordScan:
 _MAX_POINTS = np.iinfo(np.intp).max // 8
 
 
-def _grid(f: PiecewiseLinearFunction, resolution: float) -> np.ndarray:
-    """Uniform grid of lengths over [0, width], validating resolution."""
+def _grid_steps(f: PiecewiseLinearFunction, resolution: float) -> float:
+    """Steps of a uniform grid of lengths over [0, width] at ``resolution``,
+    which is validated without allocating the grid."""
     w = f.width
     if w <= 0:
         raise ValueError("cannot scan a single-point function")
@@ -150,8 +157,7 @@ def _grid(f: PiecewiseLinearFunction, resolution: float) -> np.ndarray:
     steps = w / resolution
     if not steps < _MAX_POINTS:
         raise ValueError(f"resolution {resolution:g} gives too many grid lengths over width {w:g}")
-    grid = np.arange(int(np.floor(steps + tolerance(steps))) + 1) * resolution
-    return np.append(grid[grid < w - tolerance(w)], w)
+    return steps
 
 
 def chord_set_scan(f: PiecewiseLinearFunction, resolution: float) -> ChordScan:
@@ -166,7 +172,9 @@ def _scan_with_set(
 ) -> tuple[ChordScan, ClosedIntervalSet]:
     """:func:`chord_set_scan` together with the chord set it is read from,
     for callers that need both without computing the set twice."""
-    grid = _grid(f, resolution)
+    steps, w = _grid_steps(f, resolution), f.width
+    grid = np.arange(int(np.floor(steps + tolerance(steps))) + 1) * float(resolution)
+    grid = np.append(grid[grid < w - tolerance(w)], w)
     exact = chord_set(f)
     los, his = np.array(exact.to_pairs()).T
     member = grid <= his[np.searchsorted(los, grid, side="right") - 1]
@@ -185,7 +193,7 @@ def verify_complement_additivity(f: PiecewiseLinearFunction, resolution: float) 
     """Decide exactly whether f's absent chord lengths are closed under
     addition, as :func:`is_additive` of :func:`chord_set`; ``resolution``
     is only validated.  A violation is an (a, b, a + b) triple."""
-    _grid(f, resolution)
+    _grid_steps(f, resolution)
     res = is_additive(chord_set(f))
     if res.additive:
         return AdditivityCheck(True, ())

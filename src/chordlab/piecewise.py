@@ -123,30 +123,29 @@ class PiecewiseLinearFunction:
             )
         return min(max(s, 0.0), self.width)
 
+    def _vertex_families(self, s: float) -> tuple[float, int, int]:
+        """(hi, k, j) for s clamped to [0, width]: the vertices of x ->
+        f(x + s) - f(x) are the breakpoints xs[:k] at or below hi = x_max - s,
+        the translates xs[j:] - s at or above x_min, and hi, the only one
+        when rounding puts it below x_min."""
+        hi = self.x_max - s
+        k = int(np.searchsorted(self._xs, hi, side="right"))
+        return hi, k, self._first_translate(self.x_min, s)
+
     def _shift_difference_range(self, s: float) -> tuple[float, float]:
         """Min and max of x -> f(x + s) - f(x), bitwise those of
-        ``shift_difference(s).ys``, without building the difference.
-
-        The extremes of a polyline sit at its vertices: f's breakpoints
-        below x_max - s, the translates xs - s inside the domain, and its
-        two ends.  Each family is evaluated on its own, in sorted order, and
-        a vertex met twice does not change a min or a max, so no merge,
-        sort or deduplication is needed.  The values are computed by the
-        same float expressions as in the difference, f(x) = ys exactly at
-        a breakpoint."""
+        ``shift_difference(s).ys``, without building the difference: the
+        extremes sit at vertices, so each family of :meth:`_vertex_families`
+        is evaluated on its own by the difference's float expressions (f =
+        ys at a breakpoint), and a vertex met twice changes no min or max."""
         s = self._clamp_shift(s)
         xs, ys = self._xs, self._ys
-        lo, hi = self.x_min, self.x_max - s
-        # breakpoints up to hi, where f = ys exactly
-        k = int(np.searchsorted(xs, hi, side="right"))
+        hi, k, j = self._vertex_families(s)
         at_xs = np.interp(xs[:k] + s, xs, ys)
         at_xs -= ys[:k]
-        # translates inside the domain; they never pass hi
-        b = xs[self._first_translate(lo, s) :] - s
+        b = xs[j:] - s
         at_b = np.interp(b + s, xs, ys)
         at_b -= np.interp(b, xs, ys)
-        # hi is the translate of x_max, unless rounding puts it below lo and
-        # so makes it the only vertex
         at_hi = np.interp([hi + s, hi], xs, ys)
         parts = (at_xs, at_b, at_hi[:1] - at_hi[1:])
         return (
@@ -170,34 +169,31 @@ class PiecewiseLinearFunction:
         """Vertices and values of x -> f(x + s) - f(x), left to right, for
         s already clamped to [0, width].
 
-        The vertices are f's breakpoints and their left translates by s,
-        clipped to [x_min, x_max - s].  Block k takes those that lie below
-        xs[i_k] before clipping and that no earlier block took, where i_1 =
+        The vertices are those of :meth:`_vertex_families`.  Block k takes
+        the ones below xs[i_k] that no earlier block took, where i_1 =
         ``first`` and the counts i_k+1 - i_k double; the last block takes
-        the rest.  Concatenated, the blocks are exactly the whole
-        difference, so a caller that stops at its first answer pays only
-        for the blocks it read.  Each block is a few sorted runs, which a
-        stable sort (a merge) orders in linear time; only the first block's
-        translates can fall below x_min and only the last block's
-        breakpoints can pass x_max - s, so only those two are clipped."""
+        the rest, hi included.  Concatenated, the blocks are exactly the
+        whole difference, so a caller that stops at its first answer pays
+        only for the blocks it read.  Each block is a few sorted runs,
+        which a stable sort (a merge) orders in linear time; a translate
+        that lands on a breakpoint is kept once."""
         xs = self._xs
-        lo, hi = self.x_min, self.x_max - s
-        i0, j0, size = 0, 0, first
+        hi, k, j0 = self._vertex_families(s)
+        i0, size = 0, first
         while True:
             i1 = i0 + size
-            # past hi every candidate clips to hi, so the block there is the last
-            last = i1 >= xs.size or xs[i1] > hi
+            last = i1 >= k
             if last:
-                parts = [xs[i0:], xs[j0:] - s, [hi]]
+                parts = [xs[i0:k], xs[j0:] - s, [hi]]
             else:
                 j1 = self._first_translate(xs[i1], s, j0)
                 parts = [xs[i0:i1], xs[j0:j1] - s]
             cand = np.concatenate(parts)
-            if i0 == 0 or last:
-                np.clip(cand, lo, hi, out=cand)
             cand.sort(kind="stable")
             cand = cand[np.concatenate(([True], cand[1:] != cand[:-1]))]
-            yield cand, self(cand + s) - self(cand)
+            vals = self(cand + s)
+            vals -= self(cand)
+            yield cand, vals
             if last:
                 return
             i0, j0, size = i1, j1, 2 * size

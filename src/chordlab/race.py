@@ -179,7 +179,10 @@ def to_chord_problem(profile: RaceProfile, d: float) -> PiecewiseLinearFunction:
     L = profile.total_distance
     T = profile.total_time
     lam = whole_ratio(L, d) or L / d
-    us = profile.position.xs * (lam / T)
+    scale = lam / T
+    if not math.isfinite(scale):
+        raise ValueError(f"(L/d)/T = {lam:g}/{T:g} overflows; the total time is too short")
+    us = profile.position.xs * scale
     ys = us * d
     np.subtract(profile.position.ys, ys, out=ys)
     us[0] = 0.0
@@ -312,10 +315,10 @@ def build_adversarial_profile(
     L = float(total_distance)
     T = float(total_time)
     d = float(d)
-    if not (L > 0 and T > 0 and d > 0 and all(map(math.isfinite, (L, T, L / d)))):
+    if not (L > 0 and T > 0 and d > 0 and all(map(math.isfinite, (L, T, L / d, L / d / T)))):
         raise ValueError(
             "total distance, total time, and window distance must be positive, "
-            f"with L, T and L/d finite; got L = {L:g}, T = {T:g}, d = {d:g}"
+            f"with L, T, L/d and (L/d)/T finite; got L = {L:g}, T = {T:g}, d = {d:g}"
         )
     ratio = L / d
     if ratio <= 1.0:

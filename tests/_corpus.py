@@ -1,7 +1,8 @@
 """Shared fixtures: the golden sawtooth chord set, random generators
 for admissible sets, zero-ended piecewise linear functions and race
-profiles, a Hypothesis strategy for structurally valid layouts, and a
-brute-force reference for locating points against a set's boundary.
+profiles, a Hypothesis strategy for structurally valid layouts, and
+brute-force references: for locating points against a set's boundary,
+for the additivity test and for the shift difference's blocks.
 
 The random chord sets are built the honest way: start from random open
 gaps, close them under addition (so the complement is additive by
@@ -15,6 +16,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from chordlab import ClosedIntervalSet, PiecewiseLinearFunction, RaceProfile, is_additive, tolerance
+from chordlab.intervals import AdditivityResult, _sum_counterexample
 
 SAWTOOTH_PAIRS = [[0, 0.9], [1.1, 1.8], [2.2, 2.7], [3.3, 3.6], [4.4, 4.4]]
 
@@ -200,3 +202,58 @@ def reference_locator(pairs):
         return (1 if any(lo < x < hi for lo, hi in pairs) else -1), a, b
 
     return locate
+
+
+def reference_shift_difference_blocks(f: PiecewiseLinearFunction, s: float, first: int):
+    """Clip-and-deduplicate counterpart of
+    ``PiecewiseLinearFunction._shift_difference_blocks`` for s in [0, width]:
+    each block takes all of its candidates, f's breakpoints and their left
+    translates by s, clips those outside [x_min, x_max - s] onto the ends
+    and deduplicates them away.  Yields (vertices, values) per block."""
+    xs = np.asarray(f.xs)
+    lo, hi = f.x_min, f.x_max - s
+
+    def first_translate(x, start):
+        at = np.flatnonzero(xs[start:] - s >= x)
+        return start + int(at[0]) if at.size else xs.size
+
+    i0, j0, size = 0, 0, first
+    while True:
+        i1 = i0 + size
+        last = i1 >= xs.size or xs[i1] > hi
+        if last:
+            cand = np.concatenate([xs[i0:], xs[j0:] - s, [hi]])
+        else:
+            j1 = first_translate(xs[i1], j0)
+            cand = np.concatenate([xs[i0:i1], xs[j0:j1] - s])
+        if i0 == 0 or last:
+            cand = np.clip(cand, lo, hi)
+        cand = np.sort(cand, kind="stable")
+        cand = cand[np.concatenate(([True], cand[1:] != cand[:-1]))]
+        yield cand, f(cand + s) - f(cand)
+        if last:
+            return
+        i0, j0, size = i1, j1, 2 * size
+
+
+def reference_is_additive(s: ClosedIntervalSet) -> AdditivityResult:
+    """Counterpart of :func:`is_additive` that tests every gap for each
+    pair's sum, in O(g^3) for g gaps."""
+    gaps = s.gaps
+    slack = s._slack
+    for j, (p1, q1) in enumerate(gaps):
+        for p2, q2 in gaps[j:]:
+            lo = p1 + p2
+            hi = q1 + q2
+            if lo >= s.sup - slack:
+                continue
+            if not any(glo <= lo + slack and hi <= ghi + slack for glo, ghi in gaps):
+                return AdditivityResult(False, _sum_counterexample(s, (p1, q1), (p2, q2), lo, hi))
+    return AdditivityResult(True)
+
+
+def near_additive_family(m: int) -> list[list[float]]:
+    """[0, 1], [1.0001 k, k + 1] for 1 <= k < m and {1.0001 m}: admissible,
+    with m gaps (k, 1.0001 k), each sum of two of which below the top is
+    another gap up to rounding."""
+    return [[0.0, 1.0]] + [[1.0001 * k, k + 1.0] for k in range(1, m)] + [[1.0001 * m] * 2]

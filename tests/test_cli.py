@@ -265,6 +265,48 @@ class TestUnhonourableResolution:
         assert capsys.readouterr().err == "error: MemoryError\n"
 
 
+def test_additivity_check_validates_resolution_without_a_grid(monkeypatch):
+    # width * 1e-10 asks for 10^10 grid lengths, which are never built
+    _refuse_huge(monkeypatch, "arange", 0)
+    f = build_hopf(SAWTOOTH_PAIRS)
+    assert oracle.verify_complement_additivity(f, f.width * 1e-10).holds
+    with pytest.raises(ValueError, match="too many grid lengths"):
+        oracle.verify_complement_additivity(f, 5e-324)
+
+
+class TestOverflowingInputs:
+    """Inputs whose arithmetic would pass the largest float exit 1 with one
+    line naming the cause; pytest turns any leaked warning into a failure."""
+
+    def test_chords_on_values_spanning_past_the_largest_float(self, tmp_path, capsys):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"breakpoints": [[0, 0], [1, 1e308], [2, -1e308], [3, 0]]}))
+        out = tmp_path / "scan.csv"
+        assert main(["chords", str(path), "--output", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: function values span [-1e+308, 1e+308], a range past the largest "
+            "float; scale them down\n"
+        )
+        assert not out.exists()
+
+    def test_race_plan_with_a_subnormal_time(self, capsys):
+        argv = ["race-plan", "--distance", "10", "--time", "1e-320", "--window", "3"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: total distance, total time, and window distance")
+        assert "(L/d)/T finite" in captured.err and captured.err.count("\n") == 1
+
+    def test_race_exists_split_with_a_subnormal_time(self, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        splits = [[5, 5e-321], [10, 1e-320]]
+        path.write_text(json.dumps({"total_distance": 10, "total_time": 1e-320, "splits": splits}))
+        assert main(["race-exists-split", str(path), "--window", "3"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: (L/d)/T = 3.33333/") and err.endswith("the total time is too short\n")
+        assert err.count("\n") == 1
+
+
 class TestMalformedSplits:
     @pytest.mark.parametrize(
         "splits, shown", [([1, 2], "got 1"), ([[1, None], [3, 10]], "got [1, None]")]
@@ -475,6 +517,33 @@ class TestPlot:
         out = tmp_path / "p.svg"
         assert main(["plot", miles_path, "--output", str(out), f"--overlay-shift={value}"]) == 1
         assert capsys.readouterr().err.startswith("error: overlay shift must be finite")
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize(
+        "rows, points",
+        [
+            ([[-1e308, 0], [1e308, 1]], "45.000,315.000 675.000,45.000"),
+            ([[0, 1e308], [1, -1e308]], "45.000,45.000 675.000,315.000"),
+        ],
+        ids=["x", "y"],
+    )
+    def test_range_past_the_largest_float(self, tmp_path, capsys, rows, points):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"breakpoints": rows}))
+        out = tmp_path / "f.svg"
+        assert main(["plot", str(path), "--output", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert f'<polyline points="{points}"' in out.read_text()
+
+    def test_overlay_shift_past_the_largest_float_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"breakpoints": [[0, 0], [1e308, 1]]}))
+        out = tmp_path / "f.svg"
+        assert main(["plot", str(path), "--output", str(out), "--overlay-shift", "1e308"]) == 1
+        assert capsys.readouterr().err == (
+            "error: overlay shift 1e+308 moves the curve past the largest float\n"
+        )
         assert not out.exists()
 
 

@@ -1,4 +1,5 @@
 import inspect
+import time
 
 import numpy as np
 import pytest
@@ -14,7 +15,13 @@ from chordlab import (
     tolerance,
     validate_chord_spec,
 )
-from _corpus import SAWTOOTH_PAIRS, interval_layouts, reference_locator
+from _corpus import (
+    SAWTOOTH_PAIRS,
+    interval_layouts,
+    near_additive_family,
+    reference_is_additive,
+    reference_locator,
+)
 
 
 @pytest.fixture
@@ -129,6 +136,14 @@ class TestAdditivity:
 
     def test_single_interval_always_additive(self):
         s = ClosedIntervalSet.from_pairs([[0, 3.0]])
+        assert is_additive(s).additive
+
+    def test_gap_starting_at_the_sum_plus_the_slack_holds_it(self):
+        # the gap (1, 1.5) doubles to (2, 3), and the next gap starts exactly
+        # the slack above 2: within the slack, it holds the sum
+        s = ClosedIntervalSet.from_pairs([[0, 1.0], [1.5, 2.0 + tolerance(3.0)], [3.0, 3.0]])
+        assert s.gaps[1][0] == 2.0 + s._slack
+        assert is_additive(s) == reference_is_additive(s)
         assert is_additive(s).additive
 
     def test_sum_landing_in_tail_is_fine(self):
@@ -250,6 +265,56 @@ def test_locate_matches_brute_force(pairs, fracs):
         else:
             assert s.locate(x) == want, x
         assert s.contains(x) == (want is not None and want[0] >= 0), x
+
+
+@st.composite
+def additivity_layouts(draw):
+    """Sets on which the gap search has edge cases: gaps narrower than the
+    slack, isolated points, repeated lengths whose sums land exactly on a
+    gap's ends, and the near-additive family with each interval's start
+    moved so that sums just fit a gap or just miss it."""
+    if draw(st.booleans()):
+        m = draw(st.integers(min_value=1, max_value=40))
+        # one factor, nudged within the slack or past it, or one factor each
+        c = draw(st.floats(1.00005, 1.0002))
+        nudges = st.sampled_from([0.0, 1e-13, -1e-13, 1e-11, -1e-11, 1e-7, -1e-7])
+        cs = draw(
+            st.one_of(
+                st.lists(nudges.map(lambda e: c + e), min_size=m, max_size=m),
+                st.lists(st.floats(1.00005, 1.0002), min_size=m, max_size=m),
+            )
+        )
+        pairs = [[0.0, 1.0]] + [[c * k, k + 1.0] for k, c in enumerate(cs[:-1], 1)]
+        return pairs + [[cs[-1] * m] * 2]
+    n = draw(st.integers(min_value=1, max_value=8))
+    ivs = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.05, 3.0))
+    gaps = st.one_of(st.sampled_from([1e-12, 3e-10, 5e-9, 0.5, 1.0]), st.floats(0.05, 3.0))
+    lengths = draw(st.lists(ivs, min_size=n, max_size=n))
+    widths = draw(st.lists(gaps, min_size=n - 1, max_size=n - 1))
+    scale = draw(st.sampled_from([1.0, 1e-3, 1e6]))
+    pairs, cursor = [], 0.0
+    for length, width in zip(lengths, widths + [0.0]):
+        pairs.append([cursor * scale, (cursor + length) * scale])
+        cursor += length + width
+    return pairs
+
+
+@settings(max_examples=200, deadline=None)
+@given(additivity_layouts())
+def test_is_additive_matches_the_all_gaps_loop(pairs):
+    s = ClosedIntervalSet.from_pairs(pairs)
+    assert is_additive(s) == reference_is_additive(s)
+
+
+def test_validates_2000_gaps_within_budget():
+    """The near-additive family with 2000 gaps, against a budget."""
+    budget = 3.0
+    t0 = time.perf_counter()
+    report = validate_chord_spec(near_additive_family(2000))
+    dt = time.perf_counter() - t0
+    print(f"validate_chord_spec with {len(report.interval_set.gaps)} gaps: {dt:.3f}s (budget {budget:.2f}s)")
+    assert report.ok
+    assert dt < budget
 
 
 def test_no_public_callable_takes_tol():

@@ -425,7 +425,8 @@ _table_floats = st.one_of(
     st.integers(min_value=1, max_value=2**52 - 1).map(lambda k: float(f"{k * 5e-324:.12g}")),
 )
 _rows = st.lists(_table_floats, min_size=2, max_size=2)
-# up to 32 rows json.dumps writes the table, from 33 one format call
+# short and long tables alike: every table of float rows, the empty one
+# aside, takes the one format call
 _tables = st.one_of(st.lists(_rows, max_size=32), st.lists(_rows, min_size=33, max_size=120))
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chordlab import PiecewiseLinearFunction
+from _corpus import reference_shift_difference_blocks
 
 
 def tent():
@@ -193,3 +194,55 @@ def test_evaluation_does_not_copy_the_breakpoints():
     assert peak < 64 * 1024
     with pytest.raises(ValueError):
         f.ys[0] = 1.0
+
+
+def _edge_shifts(f, rng):
+    """Shifts at which the vertex families meet their edge cases: 0, the
+    width and the float just below it, and the distance between two
+    breakpoints, at which a translate can land exactly on a breakpoint."""
+    a, b = sorted(rng.choice(f.xs.size, 2, replace=False)) if f.xs.size > 1 else (0, 0)
+    return (0.0, f.width, float(np.nextafter(f.width, 0.0)), float(f.xs[b] - f.xs[a]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=3000),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from(["uniform", "integer", "offset"]),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+def test_blocks_match_the_clip_and_deduplicate_reference(n, seed, grid, s_frac):
+    # integer breakpoints make translates land exactly on breakpoints; an
+    # offset far from 0 makes x_max - width round away from x_min
+    rng = np.random.default_rng(seed)
+    if grid == "integer":
+        xs = np.unique(rng.integers(0, 2 * n + 1, n)).astype(np.float64)
+    else:
+        xs = np.unique(rng.uniform(0.0, 10.0, n))
+        if grid == "offset":
+            xs = xs * rng.uniform(1.0, 5000.0) + rng.uniform(0.0, 500.0)
+    f = PiecewiseLinearFunction(xs, rng.normal(size=xs.size))
+    for s in (s_frac * f.width,) + _edge_shifts(f, rng):
+        for first in (1, 2, 1024, xs.size):
+            got = list(f._shift_difference_blocks(s, first))
+            want = list(reference_shift_difference_blocks(f, s, first))
+            assert [bx.size for bx, _ in got] == [bx.size for bx, _ in want]
+            for (gx, gy), (wx, wy) in zip(got, want):
+                assert gx.tobytes() == wx.tobytes() and gy.tobytes() == wy.tobytes()
+        g = f.shift_difference(s)
+        wx, wy = (np.concatenate(p) for p in zip(*reference_shift_difference_blocks(f, s, 1)))
+        assert g.xs.tobytes() == wx.tobytes() and g.ys.tobytes() == wy.tobytes()
+
+
+@pytest.mark.parametrize(
+    "x0, x1",
+    [(0.00175655620602559, 5414.613959047123), (199.5154439682133, 3850.6171264164986)],
+)
+def test_blocks_keep_only_the_end_when_it_rounds_below_x_min(x0, x1):
+    f = PiecewiseLinearFunction([x0, 0.5 * (x0 + x1), x1], [1.0, -2.0, 0.5])
+    s = f.width
+    assert f.x_max - s < f.x_min
+    ((bx, by),) = f._shift_difference_blocks(s, 1)
+    ((wx, wy),) = reference_shift_difference_blocks(f, s, 1)
+    assert bx.tolist() == [f.x_max - s] and bx.tobytes() == wx.tobytes()
+    assert by.tobytes() == wy.tobytes()
