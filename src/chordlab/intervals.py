@@ -59,14 +59,17 @@ class Interval:
     def __post_init__(self) -> None:
         lo = float(self.lo)
         hi = float(self.hi)
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ValidationError(f"interval endpoints must be finite, got [{self.lo}, {self.hi}]")
-        if lo < 0.0:
-            raise ValidationError(f"interval [{lo:g}, {hi:g}] has a negative endpoint")
-        if hi < lo:
+        if not 0.0 <= lo <= hi < math.inf:
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValidationError(
+                    f"interval endpoints must be finite, got [{self.lo}, {self.hi}]"
+                )
+            if lo < 0.0:
+                raise ValidationError(f"interval [{lo:g}, {hi:g}] has a negative endpoint")
             raise ValidationError(f"interval [{lo:g}, {hi:g}] is reversed (hi < lo)")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        if lo is not self.lo or hi is not self.hi:
+            object.__setattr__(self, "lo", lo)
+            object.__setattr__(self, "hi", hi)
 
     @property
     def length(self) -> float:
@@ -103,16 +106,21 @@ class ClosedIntervalSet:
     def __post_init__(self) -> None:
         converted = []
         for item in self.intervals:
-            if isinstance(item, Interval):
-                converted.append(item)
-            else:
+            if not isinstance(item, Interval):
                 pair = tuple(item)
                 if len(pair) != 2:
                     raise ValidationError(f"expected a [lo, hi] pair, got {item!r}")
-                converted.append(Interval(pair[0], pair[1]))
+                item = Interval(*pair)
+            converted.append(item)
         if not converted:
             raise ValidationError("interval set must contain at least one interval")
-        for prev, cur in zip(converted, converted[1:]):
+        los = [iv.lo for iv in converted]
+        his = [iv.hi for iv in converted]
+        # each lo <= hi, so the set is sorted, disjoint and untouching
+        # exactly when every hi lies below the next lo
+        if not all(map(float.__lt__, his, los[1:])):
+            k = next(k for k in range(1, len(los)) if los[k] <= his[k - 1])
+            prev, cur = converted[k - 1], converted[k]
             if cur.lo < prev.lo:
                 raise ValidationError(
                     f"intervals out of order: [{prev.lo:g}, {prev.hi:g}] is "
@@ -122,31 +130,25 @@ class ClosedIntervalSet:
                 raise ValidationError(
                     f"intervals [{prev.lo:g}, {prev.hi:g}] and [{cur.lo:g}, {cur.hi:g}] overlap"
                 )
-            if cur.lo == prev.hi:
-                raise ValidationError(
-                    f"intervals touch at {cur.lo:g}; merge them into one interval"
-                )
-        first = converted[0]
-        slack = tolerance(converted[-1].hi)
-        if first.lo > slack:
-            raise ValidationError(
-                f"the first interval must start at 0, got lo = {first.lo:g}"
-            )
-        if first.lo != 0.0:
-            converted[0] = Interval(0.0, first.hi)
+            raise ValidationError(f"intervals touch at {cur.lo:g}; merge them into one interval")
+        slack = tolerance(his[-1])
+        if los[0] > slack:
+            raise ValidationError(f"the first interval must start at 0, got lo = {los[0]:g}")
+        if los[0] != 0.0:
+            converted[0] = Interval(0.0, his[0])
+            los[0] = 0.0
         object.__setattr__(self, "intervals", tuple(converted))
         object.__setattr__(self, "_slack", slack)
         boundary, signs = [], []
-        for iv in self.intervals:
-            boundary.append(iv.lo)
-            if not iv.degenerate:
-                boundary.append(iv.hi)
+        for lo, hi in zip(los, his):
+            boundary.append(lo)
+            if hi != lo:
+                boundary.append(hi)
                 signs.append(1)
             signs.append(-1)
         object.__setattr__(self, "boundary", tuple(boundary))
         object.__setattr__(self, "_signs", tuple(signs))
-        pairs = zip(self.intervals, self.intervals[1:])
-        object.__setattr__(self, "gaps", tuple((prev.hi, cur.lo) for prev, cur in pairs))
+        object.__setattr__(self, "gaps", tuple(zip(his, los[1:])))
 
     @property
     def sup(self) -> float:

@@ -12,7 +12,6 @@ module also gives the sign-change lower bound on guaranteed chord lengths.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +49,7 @@ def has_horizontal_chord(f: PiecewiseLinearFunction, s: float) -> ChordQueryResu
     sign change.  So the cost grows with the witness's position, and the
     worst case, no chord at all, is one pass over the whole difference.
     """
+    f._check_spans()
     s = float(s)
     slack = tolerance(f.width)
     if s < -slack or s > f.width + slack:
@@ -81,12 +81,68 @@ _BLOCK_CELLS = 1 << 16  # cells per row block; bounds peak memory
 
 
 def _union(lo: np.ndarray, hi: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """Union of the intervals [lo, hi], closing gaps up to eps wide.  With
-    starts and ends sorted separately, the k-th start opens a component
-    exactly when it lies past the (k-1)-th end."""
-    lo, hi = np.sort(lo), np.sort(hi)
-    new = np.flatnonzero(lo[1:] > hi[:-1] + eps) + 1
-    return lo[np.r_[0, new]], hi[np.r_[new - 1, lo.size - 1]]
+    """Union of the intervals [lo, hi], closing gaps up to eps wide, as
+    sorted starts and ends; sorts lo and hi in place.  With starts and ends
+    sorted separately, the k-th start opens a component exactly when it
+    lies past the (k-1)-th end, so one mask picks both the later starts and
+    the ends before them."""
+    lo.sort()
+    hi.sort()
+    cut = lo[1:] > hi[:-1] + eps
+    return np.concatenate((lo[:1], lo[1:][cut])), np.concatenate((hi[:-1][cut], hi[-1:]))
+
+
+def _chord_bounds(f: PiecewiseLinearFunction) -> tuple[np.ndarray, np.ndarray]:
+    """Starts and ends of the intervals of :func:`chord_set`, as arrays."""
+    f._check_spans()
+    xs, ys = f.xs, f.ys
+    n = xs.size - 1
+    x0, x1, y0 = xs[:-1], xs[1:], ys[:-1]
+    vmin, vmax = np.minimum(y0, ys[1:]), np.maximum(y0, ys[1:])
+    flat = y0 == ys[1:]
+    dy = np.where(flat, 1.0, ys[1:] - y0)
+    eps = 4 * np.spacing(max(abs(f.x_min), abs(f.x_max)))
+    width = f.width
+
+    def ends(k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # Leftmost and rightmost x on piece k where f = v.  Exact at t = 0
+        # and t = 1, which keeps 0 and the width members of the set.
+        t = v - y0[k]
+        t /= dy[k]
+        right = x1[k]
+        x = 1.0 - t
+        x *= x0[k]
+        x += t * right
+        return x, np.where(flat[k], right, x)
+
+    parts = [(np.zeros(1), np.zeros(1))]
+    rows = max(1, _BLOCK_CELLS // max(n, 1))
+    # cell (r0 + r, r0 + c) of a block has j >= i when c >= r, which only
+    # the block's first columns can break
+    upper = np.arange(min(rows, n))
+    upper = upper >= upper[:, None]
+    for r0 in range(0, n, rows):
+        r1 = min(r0 + rows, n)
+        cells = vmin[r0:r1, None] <= vmax[r0:]
+        cells &= vmin[r0:] <= vmax[r0:r1, None]
+        cells[:, : r1 - r0] &= upper[: r1 - r0, : r1 - r0]
+        # a flat index beats a 2-d nonzero, and floor division beats divmod
+        flat_idx = cells.ravel().nonzero()[0]
+        cols = n - r0
+        ii = flat_idx // cols
+        jj = flat_idx - ii * cols
+        ii += r0
+        jj += r0
+        v = np.empty((2, ii.size))
+        np.maximum(vmin[ii], vmin[jj], out=v[0])
+        np.minimum(vmax[ii], vmax[jj], out=v[1])
+        (xl, xr), (yl, yr) = ends(ii, v), ends(jj, v)
+        yl -= xr
+        yr -= xl
+        lo = np.clip(np.minimum(yl[0], yl[1]), 0.0, width)
+        hi = np.clip(np.maximum(yr[0], yr[1]), 0.0, width)
+        parts.append(_union(lo, hi, eps))
+    return _union(*map(np.concatenate, zip(*parts)), eps)
 
 
 def chord_set(f: PiecewiseLinearFunction) -> ClosedIntervalSet:
@@ -96,37 +152,16 @@ def chord_set(f: PiecewiseLinearFunction) -> ClosedIntervalSet:
     f(y) run over the common value v of the two pieces, and s = y - x is
     linear in v, with extremes at the ends of the overlap of their value
     ranges (a flat piece sweeps its whole x-range).  Gaps of a few ulps
-    in the union are rounding and are closed, since they break additivity."""
-    xs, ys = f.xs, f.ys
-    if not math.isfinite(float(ys.max()) - float(ys.min())):
-        raise ValueError(
-            f"function values span [{float(ys.min()):g}, {float(ys.max()):g}], "
-            "a range past the largest float; scale them down"
-        )
-    n = xs.size - 1
-    vmin, vmax = np.minimum(ys[:-1], ys[1:]), np.maximum(ys[:-1], ys[1:])
-    flat = ys[:-1] == ys[1:]
-    dy = np.where(flat, 1.0, np.diff(ys))
-    eps = 4 * np.spacing(max(abs(f.x_min), abs(f.x_max)))
+    in the union are rounding and are closed, since they break additivity.
 
-    def ends(k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # Leftmost and rightmost x on piece k where f = v.  Exact at t = 0
-        # and t = 1, which keeps 0 and the width members of the set.
-        t = (v - ys[k]) / dy[k]
-        x = (1.0 - t) * xs[k] + t * xs[k + 1]
-        return x, np.where(flat[k], xs[k + 1], x)
+    Cost: the pairs of pieces are tested in row blocks of at most 2^16,
+    which bounds memory, and the float work runs on the cells, the pairs
+    whose value ranges overlap.  On top of that each call pays a small
+    fixed part: a few dozen numpy calls and the set's construction."""
+    return _interval_set(*_chord_bounds(f))
 
-    parts = [(np.zeros(1), np.zeros(1))]
-    rows = max(1, _BLOCK_CELLS // max(n, 1))
-    for r0 in range(0, n, rows):
-        i, j = np.ogrid[r0 : min(r0 + rows, n), r0:n]
-        cells = (vmin[i] <= vmax[j]) & (vmin[j] <= vmax[i]) & (j >= i)
-        ii, jj = np.add(np.divmod(np.flatnonzero(cells), n - r0), r0)
-        v = np.stack([np.maximum(vmin[ii], vmin[jj]), np.minimum(vmax[ii], vmax[jj])])
-        (xl, xr), (yl, yr) = ends(ii, v), ends(jj, v)
-        lo = np.clip(np.minimum(*(yl - xr)), 0.0, f.width)
-        parts.append(_union(lo, np.clip(np.maximum(*(yr - xl)), 0.0, f.width), eps))
-    lo, hi = _union(*map(np.concatenate, zip(*parts)), eps)
+
+def _interval_set(lo: np.ndarray, hi: np.ndarray) -> ClosedIntervalSet:
     return ClosedIntervalSet(tuple(zip(lo.tolist(), hi.tolist())))
 
 
@@ -148,6 +183,7 @@ _MAX_POINTS = np.iinfo(np.intp).max // 8
 def _grid_steps(f: PiecewiseLinearFunction, resolution: float) -> float:
     """Steps of a uniform grid of lengths over [0, width] at ``resolution``,
     which is validated without allocating the grid."""
+    f._check_spans()
     w = f.width
     if w <= 0:
         raise ValueError("cannot scan a single-point function")
@@ -175,12 +211,19 @@ def _scan_with_set(
     steps, w = _grid_steps(f, resolution), f.width
     grid = np.arange(int(np.floor(steps + tolerance(steps))) + 1) * float(resolution)
     grid = np.append(grid[grid < w - tolerance(w)], w)
-    exact = chord_set(f)
-    los, his = np.array(exact.to_pairs()).T
+    los, his = _chord_bounds(f)
     member = grid <= his[np.searchsorted(los, grid, side="right") - 1]
-    flips = np.union1d(his[his < f.width], los[1:])
-    scan = ChordScan(grid, member, tuple((b, b) for b in flips.tolist()), float(resolution))
-    return scan, exact
+    # The intervals are sorted and never touch, so membership flips at
+    # hi_0 < lo_1 <= hi_1 < lo_2 ... and at the last hi when it is short
+    # of the width; a degenerate interval's lo = hi flips it once.
+    flips = np.empty(2 * his.size - 1)
+    flips[0::2], flips[1::2] = his, los[1:]
+    keep = np.ones(flips.size, dtype=bool)
+    keep[2::2] = his[1:] != los[1:]
+    keep[-1] &= flips[-1] < w
+    bounds = tuple((b, b) for b in flips[keep].tolist())
+    scan = ChordScan(grid, member, bounds, float(resolution))
+    return scan, _interval_set(los, his)
 
 
 @dataclass(frozen=True)

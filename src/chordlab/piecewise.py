@@ -9,6 +9,7 @@ existence into a finite question about vertex values and sign changes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,7 +52,10 @@ class PiecewiseLinearFunction:
             raise ValueError("xs and ys must be one-dimensional arrays of equal length")
         if xs.size < 1:
             raise ValueError("need at least one breakpoint")
-        if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        # min and max propagate NaN, so the passes that keep the range of
+        # the values for _check_spans also test them for finiteness
+        y_range = (float(ys.min()), float(ys.max()))
+        if not (np.isfinite(xs).all() and math.isfinite(y_range[0]) and math.isfinite(y_range[1])):
             raise ValueError("breakpoints must be finite")
         # for finite floats xs[i + 1] <= xs[i] exactly when their difference
         # is <= 0, and the comparison allocates no float array
@@ -67,6 +71,7 @@ class PiecewiseLinearFunction:
         # reads the private writeable owners, and callers get read-only views.
         object.__setattr__(self, "_xs", xs)
         object.__setattr__(self, "_ys", ys)
+        object.__setattr__(self, "_y_range", y_range)
         object.__setattr__(self, "xs", _read_only(xs))
         object.__setattr__(self, "ys", _read_only(ys))
 
@@ -98,8 +103,22 @@ class PiecewiseLinearFunction:
             return float(out)
         return out
 
+    def _check_spans(self) -> None:
+        """Raise ValueError when the breakpoints or the values span a range
+        past the largest float: differences of them, such as the width,
+        slopes, shift differences and chord lengths, would overflow."""
+        for what, (lo, hi) in (
+            ("breakpoints", (self.x_min, self.x_max)),
+            ("function values", self._y_range),
+        ):
+            if not math.isfinite(hi - lo):
+                raise ValueError(
+                    f"{what} span [{lo:g}, {hi:g}], a range past the largest float; scale them down"
+                )
+
     def slopes(self) -> np.ndarray:
         """Slope on each linear piece; empty for a single-point function."""
+        self._check_spans()
         if self.xs.size < 2:
             return np.empty(0)
         return np.diff(self.ys) / np.diff(self.xs)

@@ -2,7 +2,8 @@
 for admissible sets, zero-ended piecewise linear functions and race
 profiles, a Hypothesis strategy for structurally valid layouts, and
 brute-force references: for locating points against a set's boundary,
-for the additivity test and for the shift difference's blocks.
+for the additivity test, for the shift difference's blocks and for the
+exact chord set and its grid scan.
 
 The random chord sets are built the honest way: start from random open
 gaps, close them under addition (so the complement is additive by
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from chordlab import ClosedIntervalSet, PiecewiseLinearFunction, RaceProfile, is_additive, tolerance
 from chordlab.intervals import AdditivityResult, _sum_counterexample
+from chordlab.oracle import _BLOCK_CELLS
 
 SAWTOOTH_PAIRS = [[0, 0.9], [1.1, 1.8], [2.2, 2.7], [3.3, 3.6], [4.4, 4.4]]
 
@@ -257,3 +259,53 @@ def near_additive_family(m: int) -> list[list[float]]:
     with m gaps (k, 1.0001 k), each sum of two of which below the top is
     another gap up to rounding."""
     return [[0.0, 1.0]] + [[1.0001 * k, k + 1.0] for k in range(1, m)] + [[1.0001 * m] * 2]
+
+
+def _reference_union(lo, hi, eps):
+    lo, hi = np.sort(lo), np.sort(hi)
+    new = np.flatnonzero(lo[1:] > hi[:-1] + eps) + 1
+    return lo[np.r_[0, new]], hi[np.r_[new - 1, lo.size - 1]]
+
+
+def reference_chord_set(f: PiecewiseLinearFunction) -> ClosedIntervalSet:
+    """Counterpart of :func:`chord_set` that builds each block's cells
+    with ``np.ogrid`` and a flat ``divmod``, in the same cells and blocks
+    and with the same float operations, so the sets must agree bitwise."""
+    xs, ys = f.xs, f.ys
+    n = xs.size - 1
+    vmin, vmax = np.minimum(ys[:-1], ys[1:]), np.maximum(ys[:-1], ys[1:])
+    flat = ys[:-1] == ys[1:]
+    dy = np.where(flat, 1.0, np.diff(ys))
+    eps = 4 * np.spacing(max(abs(f.x_min), abs(f.x_max)))
+
+    def ends(k, v):
+        t = (v - ys[k]) / dy[k]
+        x = (1.0 - t) * xs[k] + t * xs[k + 1]
+        return x, np.where(flat[k], xs[k + 1], x)
+
+    parts = [(np.zeros(1), np.zeros(1))]
+    rows = max(1, _BLOCK_CELLS // max(n, 1))
+    for r0 in range(0, n, rows):
+        i, j = np.ogrid[r0 : min(r0 + rows, n), r0:n]
+        cells = (vmin[i] <= vmax[j]) & (vmin[j] <= vmax[i]) & (j >= i)
+        ii, jj = np.add(np.divmod(np.flatnonzero(cells), n - r0), r0)
+        v = np.stack([np.maximum(vmin[ii], vmin[jj]), np.minimum(vmax[ii], vmax[jj])])
+        (xl, xr), (yl, yr) = ends(ii, v), ends(jj, v)
+        lo = np.clip(np.minimum(*(yl - xr)), 0.0, f.width)
+        parts.append(_reference_union(lo, np.clip(np.maximum(*(yr - xl)), 0.0, f.width), eps))
+    lo, hi = _reference_union(*map(np.concatenate, zip(*parts)), eps)
+    return ClosedIntervalSet(tuple(zip(lo.tolist(), hi.tolist())))
+
+
+def reference_chord_scan(f: PiecewiseLinearFunction, resolution: float):
+    """Counterpart of :func:`chord_set_scan` read from
+    :func:`reference_chord_set`, with the flips as the sorted union of the
+    ends short of the width and the starts past 0.  Returns (lengths,
+    membership, refined boundaries)."""
+    steps, w = f.width / resolution, f.width
+    grid = np.arange(int(np.floor(steps + tolerance(steps))) + 1) * float(resolution)
+    grid = np.append(grid[grid < w - tolerance(w)], w)
+    los, his = np.array(reference_chord_set(f).to_pairs()).T
+    member = grid <= his[np.searchsorted(los, grid, side="right") - 1]
+    flips = np.union1d(his[his < w], los[1:])
+    return grid, member, tuple((b, b) for b in flips.tolist())

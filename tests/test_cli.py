@@ -160,15 +160,14 @@ class TestChords:
         fn_path = tmp_path / "fn.json"
         assert main(["construct", spec_path, "--output", str(fn_path)]) == 0
         calls = []
-        exact = oracle.chord_set
+        exact = oracle._chord_bounds
 
         def counted(f):
             calls.append(f)
             return exact(f)
 
-        # under both names, in case the command imports it directly
-        monkeypatch.setattr(oracle, "chord_set", counted)
-        monkeypatch.setattr(cli, "chord_set", counted, raising=False)
+        # every path to the set's cells goes through this one function
+        monkeypatch.setattr(oracle, "_chord_bounds", counted)
         assert main(["chords", str(fn_path), "--output", str(tmp_path / "scan.csv")]) == 0
         assert len(calls) == 1
         assert "[0, 0.9], [1.1, 1.8]" in capsys.readouterr().out
@@ -285,6 +284,17 @@ class TestOverflowingInputs:
         assert main(["chords", str(path), "--output", str(out)]) == 1
         assert capsys.readouterr().err == (
             "error: function values span [-1e+308, 1e+308], a range past the largest "
+            "float; scale them down\n"
+        )
+        assert not out.exists()
+
+    def test_chords_on_breakpoints_spanning_past_the_largest_float(self, tmp_path, capsys):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"breakpoints": [[-1e308, 0], [1e308, 1]]}))
+        out = tmp_path / "scan.csv"
+        assert main(["chords", str(path), "--output", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: breakpoints span [-1e+308, 1e+308], a range past the largest "
             "float; scale them down\n"
         )
         assert not out.exists()
