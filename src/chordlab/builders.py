@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Union
 
 import numpy as np
@@ -142,7 +141,6 @@ def _flat_product(alpha: float, beta: float) -> float:
     return math.exp(-1.0 / ab)
 
 
-@lru_cache(maxsize=256)
 def _check_shape_function(fn: Callable[[float, float], float], scale: float) -> None:
     """Heuristic spot check that fn vanishes on the axes and is jointly
     strictly increasing off them, probed on a 5x5 grid over [0, scale]^2.
@@ -179,18 +177,6 @@ def _shape_check_scale(s: ClosedIntervalSet) -> float:
     return max(max(iv.length for iv in s.intervals), 1.0)
 
 
-def _eval_signed_one(s: ClosedIntervalSet, fn: Callable[[float, float], float], x: float) -> float:
-    sign, a, b = s.locate(x)
-    if sign == 0:
-        return 0.0
-    val = float(fn(x - a, b - x))
-    if sign < 0:
-        # Negate rather than multiply so an underflowed magnitude keeps
-        # its sign bit (-0.0), which downstream sign probes rely on.
-        return -val
-    return val
-
-
 def eval_generalized(s: ClosedIntervalSet, shape_fn: Callable[[float, float], float], x):
     """Evaluate the generalized boundary-distance construction at x.
 
@@ -199,25 +185,29 @@ def eval_generalized(s: ClosedIntervalSet, shape_fn: Callable[[float, float], fl
     set's intervals, negative in the gaps, zero on the boundary.  The
     shape function must vanish iff either argument is 0 and be jointly
     strictly increasing for positive arguments; a grid spot check
-    rejects obviously unsuitable functions.
+    rejects obviously unsuitable functions on every call.
     """
     _check_shape_function(shape_fn, _shape_check_scale(s))
+    return _eval_signed(s, shape_fn, x)
+
+
+def _eval_signed(s: ClosedIntervalSet, shape_fn: Callable[[float, float], float], x):
     arr = np.asarray(x, dtype=np.float64)
-    scalar = arr.ndim == 0
-    flat = np.atleast_1d(arr).ravel()
-    out = np.empty(flat.shape)
-    for i, xv in enumerate(flat):
-        out[i] = _eval_signed_one(s, shape_fn, float(xv))
-    if scalar:
-        return float(out[0])
-    return out.reshape(np.atleast_1d(arr).shape)
+    out = np.empty(arr.size)
+    for i, xv in enumerate(arr.ravel().tolist()):
+        sign, a, b = s.locate(xv)
+        val = float(shape_fn(xv - a, b - xv)) if sign else 0.0
+        # Negate rather than multiply so an underflowed magnitude keeps
+        # its sign bit (-0.0), which downstream sign probes rely on.
+        out[i] = -val if sign < 0 else val
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 def eval_smooth(s: ClosedIntervalSet, x):
     """Generalized construction with the flat exponential profile
     exp(-1/(alpha*beta)).  Smooth in the interior of every component and
     flat to all orders at every boundary point."""
-    return eval_generalized(s, _flat_product, x)
+    return _eval_signed(s, _flat_product, x)
 
 
 def smooth_chord_function(s: ClosedIntervalSet) -> SmoothFunction:

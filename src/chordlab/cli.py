@@ -28,10 +28,11 @@ from .io import (
     svg_for_curves,
     write_chord_scan,
 )
-from .oracle import _MAX_POINTS, _scan_with_set
+from .oracle import _scan_with_set
 from .race import build_adversarial_profile, exists_average_split, find_average_split
 
 _PHI_KINDS = {"triangle": "triangle_wave", "sin2": "sin_squared"}
+_SMOOTH_SAMPLES = 1001  # construct --shape smooth: spacing sup/1000
 
 
 def parse_duration(text: str) -> float:
@@ -84,22 +85,19 @@ def _cmd_construct(args) -> int:
     report = validate_chord_spec(s)
     if not report.ok:
         raise ValueError("chord set fails validation:\n" + report.summary())
-    sf = smooth_chord_function(s)
-    spacing = args.resolution if args.resolution is not None else s.sup / 1000.0
-    if not (spacing > 0 and math.isfinite(spacing)):
-        raise ValueError(f"resolution must be positive and finite, got {spacing:g}")
-    if not s.sup / spacing < _MAX_POINTS:
-        raise ValueError(f"resolution {spacing:g} gives too many samples over [0, {s.sup:g}]")
-    count = max(int(round(s.sup / spacing)) + 1, 2)
-    xs, ys = sf.sample(count)
+    xs, ys = smooth_chord_function(s).sample(_SMOOTH_SAMPLES)
+    if not (xs[1:] > xs[:-1]).all():
+        raise ValueError(
+            f"the chord set's sup {s.sup:g} is too small to sample at "
+            f"{_SMOOTH_SAMPLES} distinct points"
+        )
     _emit(smooth_samples_to_obj(xs, ys), args.output)
     return 0
 
 
 def _cmd_chords(args) -> int:
     f = parse_function(load_json(args.function))
-    resolution = args.resolution if args.resolution is not None else f.width / 500.0
-    scan, exact = _scan_with_set(f, resolution)
+    scan, exact = _scan_with_set(f, f.width / 500.0)
     main_path, bpath = write_chord_scan(scan, args.output)
     member = int(scan.membership.sum())
     pairs = ", ".join(f"[{iv.lo:.6g}, {iv.hi:.6g}]" for iv in exact.intervals)
@@ -171,23 +169,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct", help="build a function realizing a chord set")
     p.add_argument("spec", help="JSON file with an 'intervals' list")
     p.add_argument("--shape", choices=("hopf", "smooth"), default="hopf")
-    p.add_argument(
-        "--resolution",
-        type=float,
-        default=None,
-        help="sample spacing for --shape smooth (default sup/1000)",
-    )
     p.add_argument("--output", default=None, help="output JSON path (default stdout)")
     p.set_defaults(handler=_cmd_construct)
 
     p = sub.add_parser("chords", help="compute which chord lengths a function has")
     p.add_argument("function", help="JSON file with 'breakpoints' or 'samples'")
-    p.add_argument(
-        "--resolution",
-        type=float,
-        default=None,
-        help="grid spacing for the scan (default width/500)",
-    )
     p.add_argument("--output", required=True, help="CSV output path")
     p.set_defaults(handler=_cmd_chords)
 

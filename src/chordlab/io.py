@@ -161,6 +161,14 @@ def parse_profile(obj: dict) -> RaceProfile:
     return RaceProfile.from_splits(L, T, splits)
 
 
+def _json_int(text: str) -> int:
+    # ints stay ints, so messages show them as written; float() raises
+    # OverflowError for one past the largest float
+    value = int(text)
+    float(value)
+    return value
+
+
 def load_json(path) -> dict:
     path = Path(path)
     try:
@@ -168,9 +176,11 @@ def load_json(path) -> dict:
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
     try:
-        return json.loads(text)
+        return json.loads(text, parse_int=_json_int)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path} is not valid JSON: {exc}") from exc
+    except OverflowError as exc:
+        raise ValueError(f"{path} holds an integer past the largest float") from exc
 
 
 # How json.dumps writes a finite float x (its repr), as a printf-style

@@ -12,6 +12,7 @@ module also gives the sign-change lower bound on guaranteed chord lengths.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,13 +51,7 @@ def has_horizontal_chord(f: PiecewiseLinearFunction, s: float) -> ChordQueryResu
     worst case, no chord at all, is one pass over the whole difference.
     """
     f._check_spans()
-    s = float(s)
-    slack = tolerance(f.width)
-    if s < -slack or s > f.width + slack:
-        raise ValueError(
-            f"chord length {s:g} must lie in [0, {f.width:g}] for this function"
-        )
-    s = min(max(s, 0.0), f.width)
+    s = f._clamp_shift(s)
     vertices = 0
     xs = ys = np.empty(0)
     for bx, by in f._shift_difference_blocks(s):
@@ -73,7 +68,14 @@ def has_horizontal_chord(f: PiecewiseLinearFunction, s: float) -> ChordQueryResu
             i = cross_idx[0]
             x0, x1 = float(xs[i]), float(xs[i + 1])
             y0, y1 = float(ys[i]), float(ys[i + 1])
-            return ChordQueryResult(True, s, x0 - y0 * (x1 - x0) / (y1 - y0), vertices)
+            dy, step = y1 - y0, y0 * (x1 - x0)
+            if math.isfinite(dy) and math.isfinite(step):
+                x = x0 - step / dy
+            else:
+                # y0 and y1 have opposite signs, so quartered they differ by
+                # less than the largest float; quartering is exact
+                x = x0 + (x1 - x0) * (0.25 * y0 / (0.25 * y0 - 0.25 * y1))
+            return ChordQueryResult(True, s, x, vertices)
     return ChordQueryResult(False, s, None, vertices)
 
 
@@ -265,6 +267,8 @@ def levit_bound(f: PiecewiseLinearFunction) -> float:
     """Largest L such that chords of every length in (0, L] are
     guaranteed, from the sign-change count n: L = width / floor((n+3)/2).
 
-    Applies to functions vanishing at both endpoints."""
+    Applies to functions vanishing at both endpoints.  A theorem, not
+    the answer: ``chord_set(f).gap_infimum`` is the exact largest such
+    L, and this bound never exceeds it (it may equal it)."""
     n = sign_changes(f)
     return f.width / float((n + 3) // 2)

@@ -134,11 +134,14 @@ class PiecewiseLinearFunction:
         return PiecewiseLinearFunction._from_owned(xs, ys)
 
     def _clamp_shift(self, s: float) -> float:
+        """s clamped to [0, width]; a shift (chord length) more than the
+        tolerance outside it, or NaN, is refused."""
         s = float(s)
         slack = tolerance(self.width)
-        if s < -slack or s > self.width + slack:
+        if not -slack <= s <= self.width + slack:
             raise ValueError(
-                f"shift {s:g} must lie in [0, {self.width:g}] for a function of that width"
+                f"shift (chord length) {s:g} must lie in [0, {self.width:g}] "
+                "for a function of that width"
             )
         return min(max(s, 0.0), self.width)
 

@@ -6,7 +6,7 @@ a sub-interval covering exactly distance d in exactly the average time
 T * d / L?  A change of variables turns this into a horizontal chord
 question, so the answers inherit the chord-set dichotomy: for L/d a
 whole number the window always exists, and the exact chord query on
-the rescaled profile finds one by interpolating between vertices;
+the profile's chord problem finds one by interpolating between vertices;
 otherwise adversarial profiles without any such window can be
 constructed.
 """
@@ -14,7 +14,6 @@ constructed.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +59,7 @@ class RaceProfile:
                 f"position must climb from 0 to {L:g}, got "
                 f"{float(pos.ys[0]):g} to {float(pos.ys[-1]):g}"
             )
+        pos._check_spans()
         gains = np.diff(pos.ys)
         bad = np.nonzero(gains <= 0)[0]
         if bad.size:
@@ -239,9 +239,9 @@ def from_chord_function(
     on [0, L/d] into a race profile whose distance-d average-pace windows
     are exactly g's unit chords.
 
-    If g's slopes reach the distance budget d in magnitude, the shear
-    that adds d per unit would stall or reverse the runner; amplitudes
-    are then rescaled so slopes stay within d/2, with a warning.
+    The shear adds d per unit, so a piece of g with slope -d or less
+    would stall or reverse the runner; :class:`RaceProfile` refuses it
+    and names the segment.
     """
     L = float(total_distance)
     T = float(total_time)
@@ -261,20 +261,8 @@ def from_chord_function(
             f"chord function must vanish at both endpoints, got "
             f"{float(g.ys[0]):g} and {float(g.ys[-1]):g}"
         )
-    ys = g.ys
-    slopes = g.slopes()
-    steep = float(np.max(np.abs(slopes))) if slopes.size else 0.0
-    if steep >= d:
-        factor = (0.5 * d) / steep
-        warnings.warn(
-            f"chord function slopes reach {steep:g}, at or beyond the window "
-            f"distance {d:g}; amplitudes rescaled by {factor:g} to keep the "
-            "profile moving forward",
-            stacklevel=2,
-        )
-        ys = ys * factor
     ts = g.xs * (T / lam)
-    dist = ys + d * g.xs
+    dist = g.ys + d * g.xs
     ts[0] = 0.0
     ts[-1] = T
     dist[0] = 0.0

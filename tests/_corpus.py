@@ -3,7 +3,8 @@ for admissible sets, zero-ended piecewise linear functions and race
 profiles, a Hypothesis strategy for structurally valid layouts, and
 brute-force references: for locating points against a set's boundary,
 for the additivity test, for the shift difference's blocks and for the
-exact chord set and its grid scan.
+exact chord set and its grid scan; and a guard that keeps a test from
+allocating a huge array.
 
 The random chord sets are built the honest way: start from random open
 gaps, close them under addition (so the complement is additive by
@@ -21,6 +22,20 @@ from chordlab.intervals import AdditivityResult, _sum_counterexample
 from chordlab.oracle import _BLOCK_CELLS
 
 SAWTOOTH_PAIRS = [[0, 0.9], [1.1, 1.8], [2.2, 2.7], [3.3, 3.6], [4.4, 4.4]]
+
+
+def refuse_huge(monkeypatch, name: str, size_arg: int) -> None:
+    """Make numpy.<name> raise MemoryError, as numpy does when it cannot
+    allocate, for requests above 10**9 elements, so that no test makes one."""
+    real = getattr(np, name)
+
+    def alloc(*args, **kwargs):
+        n = args[size_arg] if len(args) > size_arg else kwargs.get("num", 50)
+        if n > 10**9:
+            raise MemoryError(f"Unable to allocate {8 * n / 2**50:.2f} PiB for an array")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, name, alloc)
 
 
 def _merge_strict(intervals):
@@ -147,8 +162,7 @@ def random_integer_ratio_profile(rng: np.random.Generator):
 
 
 def random_bounded_profile(rng: np.random.Generator) -> RaceProfile:
-    """Random profile whose speed stays well inside (0, 2x) the average,
-    so the chord-problem round trip never triggers an amplitude rescale."""
+    """Random profile whose speed stays well inside (0, 2x) the average."""
     L = rng.uniform(2.0, 12.0)
     T = rng.uniform(500.0, 4000.0)
     m = int(rng.integers(1, 7))

@@ -102,18 +102,20 @@ class TestConstruct:
         assert obj["kind"] == "smooth"
         assert len(obj["samples"]) == 1001
 
-    def test_smooth_custom_resolution(self, spec_path, capsys):
-        assert main(["construct", spec_path, "--shape", "smooth", "--resolution", "0.1"]) == 0
-        obj = json.loads(capsys.readouterr().out)
-        assert len(obj["samples"]) == 45
-
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0"])
-    def test_smooth_resolution_must_be_positive_and_finite(self, spec_path, capsys, value):
-        argv = ["construct", spec_path, "--shape", "smooth", f"--resolution={value}"]
-        assert main(argv) == 1
+    @pytest.mark.parametrize("sup", ["0", "5e-324"])
+    def test_smooth_refuses_a_set_too_small_to_sample(self, tmp_path, capsys, sup):
+        # {0} and [0, 5e-324] validate, but 1001 samples of [0, sup] would repeat
+        path = tmp_path / "tiny.json"
+        path.write_text(f'{{"intervals": [[0, {sup}]]}}')
+        assert main(["validate", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["construct", str(path), "--shape", "smooth"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: resolution must be positive and finite")
+        assert captured.err == (
+            f"error: the chord set's sup {float(sup):g} is too small to sample at 1001 "
+            "distinct points\n"
+        )
 
     def test_inadmissible_exits_1(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -172,8 +174,12 @@ class TestChords:
         assert len(calls) == 1
         assert "[0, 0.9], [1.1, 1.8]" in capsys.readouterr().out
 
-    def test_tolerance_not_accepted(self, spec_path, miles_path, tmp_path):
-        # tolerances follow from the data; no subcommand takes the flag
+    @pytest.mark.parametrize(
+        "flag", [["--tolerance", "0"], ["--resolution", "0.1"]], ids=["tolerance", "resolution"]
+    )
+    def test_removed_flags_not_accepted(self, spec_path, miles_path, tmp_path, flag):
+        # tolerances follow from the data, and the grid and sample counts
+        # are constants; no subcommand takes either flag
         race = ["--window", "1"]
         for argv in (
             ["validate", spec_path],
@@ -185,75 +191,42 @@ class TestChords:
             ["plot", spec_path, "--output", str(tmp_path / "f.svg")],
         ):
             with pytest.raises(SystemExit) as exc:
-                main(argv + ["--tolerance", "0"])
+                main(argv + flag)
             assert exc.value.code == 2
 
 
-def _refuse_huge(monkeypatch, name, size_arg):
-    """Make numpy.<name> raise MemoryError, as numpy does when it cannot
-    allocate, for requests above 10**9 elements, so that no test makes one."""
-    real = getattr(np, name)
+_NO_MEMORY = "Unable to allocate 3.91 KiB for an array with shape (501,) and data type float64"
+
+
+def _fail_allocation(monkeypatch, name):
+    """Make numpy.<name> raise MemoryError with numpy's message, as it
+    does when it cannot allocate."""
 
     def alloc(*args, **kwargs):
-        n = args[size_arg] if len(args) > size_arg else kwargs.get("num", 50)
-        if n > 10**9:
-            raise MemoryError(f"Unable to allocate {8 * n / 2**50:.2f} PiB for an array")
-        return real(*args, **kwargs)
+        raise MemoryError(_NO_MEMORY)
 
     monkeypatch.setattr(np, name, alloc)
 
 
-class TestUnhonourableResolution:
-    """A resolution that cannot be honoured is an error line and exit 1."""
+class TestOutOfMemory:
+    """A failed allocation is one error line and exit 1, with nothing written."""
 
-    def _fn_path(self, spec_path, tmp_path, capsys):
+    def test_chords_out_of_memory(self, spec_path, tmp_path, capsys, monkeypatch):
         fn_path = tmp_path / "fn.json"
         assert main(["construct", spec_path, "--output", str(fn_path)]) == 0
         capsys.readouterr()
-        return str(fn_path)
-
-    # past the float range, and past the largest array numpy can hold: both
-    # are refused before anything is allocated
-    HUGE = ("5e-324", "1e-300", "1e-18")
-
-    def test_chords_step_count_overflows(self, spec_path, tmp_path, capsys, monkeypatch):
-        fn_path = self._fn_path(spec_path, tmp_path, capsys)
-        _refuse_huge(monkeypatch, "arange", 0)
+        _fail_allocation(monkeypatch, "arange")  # the grid of 501 lengths
         out = tmp_path / "scan.csv"
-        for resolution in self.HUGE:
-            assert main(["chords", fn_path, "--resolution", resolution, "--output", str(out)]) == 1
-            assert capsys.readouterr().err == (
-                f"error: resolution {float(resolution):g} gives too many grid lengths over width 4.4\n"
-            )
-            assert not out.exists()
-
-    def test_construct_sample_count_overflows(self, spec_path, capsys, monkeypatch):
-        _refuse_huge(monkeypatch, "linspace", 2)
-        for resolution in self.HUGE:
-            argv = ["construct", spec_path, "--shape", "smooth", "--resolution", resolution]
-            assert main(argv) == 1
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert captured.err == (
-                f"error: resolution {float(resolution):g} gives too many samples over [0, 4.4]\n"
-            )
-
-    def test_chords_out_of_memory(self, spec_path, tmp_path, capsys, monkeypatch):
-        fn_path = self._fn_path(spec_path, tmp_path, capsys)
-        _refuse_huge(monkeypatch, "arange", 0)
-        out = tmp_path / "scan.csv"
-        assert main(["chords", fn_path, "--resolution", "1e-14", "--output", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+        assert main(["chords", str(fn_path), "--output", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {_NO_MEMORY}\n"
         assert not out.exists()
 
     def test_construct_out_of_memory(self, spec_path, capsys, monkeypatch):
-        _refuse_huge(monkeypatch, "linspace", 2)
-        argv = ["construct", spec_path, "--shape", "smooth", "--resolution", "1e-13"]
-        assert main(argv) == 1
+        _fail_allocation(monkeypatch, "linspace")  # the 1001 sample points
+        assert main(["construct", spec_path, "--shape", "smooth"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: Unable to allocate")
+        assert captured.err == f"error: {_NO_MEMORY}\n"
 
     def test_memory_error_without_message(self, spec_path, capsys, monkeypatch):
         def boom(spec):
@@ -262,15 +235,6 @@ class TestUnhonourableResolution:
         monkeypatch.setattr(cli, "build_hopf", boom)
         assert main(["construct", spec_path]) == 1
         assert capsys.readouterr().err == "error: MemoryError\n"
-
-
-def test_additivity_check_validates_resolution_without_a_grid(monkeypatch):
-    # width * 1e-10 asks for 10^10 grid lengths, which are never built
-    _refuse_huge(monkeypatch, "arange", 0)
-    f = build_hopf(SAWTOOTH_PAIRS)
-    assert oracle.verify_complement_additivity(f, f.width * 1e-10).holds
-    with pytest.raises(ValueError, match="too many grid lengths"):
-        oracle.verify_complement_additivity(f, 5e-324)
 
 
 class TestOverflowingInputs:
@@ -334,6 +298,43 @@ class TestMalformedSplits:
             f"error: each split must be a (distance, time) pair of numbers, {shown}\n"
         )
         assert not svg.exists()
+
+
+_BIG = "1" + "0" * 400  # a JSON integer past the largest float
+
+
+@pytest.mark.parametrize(
+    "command, extra, text",
+    [
+        ("validate", [], f'{{"intervals": [[0, 1], [2, {_BIG}]]}}'),
+        ("construct", [], f'{{"intervals": [[0, 1], [2, {_BIG}]]}}'),
+        ("construct", ["--shape", "smooth"], f'{{"intervals": [[0, 1], [2, {_BIG}]]}}'),
+        ("chords", ["--output", "scan.csv"], f'{{"breakpoints": [[0, 0], [1, {_BIG}]]}}'),
+        ("plot", ["--output", "f.svg"], f'{{"breakpoints": [[0, 0], [1, {_BIG}]]}}'),
+        (
+            "race-exists-split",
+            ["--window", "1"],
+            f'{{"total_distance": 3, "total_time": 10, "splits": [[1, 2], [3, {_BIG}]]}}',
+        ),
+        (
+            "race-find-split",
+            ["--window", "1"],
+            f'{{"total_distance": {_BIG}, "total_time": 10, "splits": [[1, 2], [3, 10]]}}',
+        ),
+    ],
+    ids=["validate", "construct", "construct-smooth", "chords", "plot", "race-exists-split",
+         "race-find-split"],
+)
+def test_integer_past_the_largest_float_exits_1(
+    tmp_path, capsys, monkeypatch, command, extra, text
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "in.json").write_text(text)
+    assert main([command, "in.json"] + extra) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: in.json holds an integer past the largest float\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.json"]
 
 
 class TestRaceCommands:
@@ -481,9 +482,9 @@ class TestJsonOutput:
         [
             (["construct", None], lambda: function_to_obj(build_hopf(SAWTOOTH_PAIRS))),
             (
-                ["construct", None, "--shape", "smooth", "--resolution", "0.044"],
+                ["construct", None, "--shape", "smooth"],
                 lambda: smooth_samples_to_obj(
-                    *smooth_chord_function(ClosedIntervalSet.from_pairs(SAWTOOTH_PAIRS)).sample(101)
+                    *smooth_chord_function(ClosedIntervalSet.from_pairs(SAWTOOTH_PAIRS)).sample(1001)
                 ),
             ),
             (

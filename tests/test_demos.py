@@ -1,5 +1,6 @@
-"""Each demo runs to completion as a script.  The demos write only to
-the git-ignored demo_output/ at the repository root."""
+"""Each demo runs to completion as a script, with warnings as errors.
+The demos write only to the git-ignored demo_output/ at the repository
+root."""
 
 import os
 import subprocess
@@ -18,7 +19,11 @@ def run_demo(name: str) -> subprocess.CompletedProcess:
     src = str(Path(chordlab.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, str(DEMOS / name)], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, "-W", "error", str(DEMOS / name)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
     )
 
 

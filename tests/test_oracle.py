@@ -7,9 +7,11 @@ import chordlab.oracle as oracle_mod
 from chordlab import (
     ClosedIntervalSet,
     PiecewiseLinearFunction,
+    RaceProfile,
     build_hopf,
     chord_set,
     chord_set_scan,
+    from_chord_function,
     has_horizontal_chord,
     levit_bound,
     sign_changes,
@@ -22,6 +24,7 @@ from _corpus import (
     random_zero_ended_pl,
     reference_chord_scan,
     reference_chord_set,
+    refuse_huge,
 )
 
 
@@ -75,6 +78,28 @@ class TestHasHorizontalChord:
         with pytest.raises(ValueError, match="chord length"):
             has_horizontal_chord(sawtooth_fn, -0.2)
 
+    def test_nan_length_refused(self, sawtooth_fn):
+        with pytest.raises(ValueError) as info:
+            has_horizontal_chord(sawtooth_fn, float("nan"))
+        assert str(info.value) == (
+            "shift (chord length) nan must lie in [0, 4.4] for a function of that width"
+        )
+
+    @pytest.mark.parametrize(
+        "points, s, root",
+        [
+            # g(0) = 1.5e308 and g(1) = -1.5e308: y1 - y0 overflows
+            ([[0, 0], [1, 1.5e308], [2, 0], [3, 1.5e308]], 1.0, 0.5),
+            # g(0) = 1e308 and g(2) = -5e307: y0 * (x1 - x0) overflows
+            ([[0, 0], [2, 1e308], [6, 0]], 2.0, 4.0 / 3.0),
+        ],
+        ids=["difference", "product"],
+    )
+    def test_witness_between_values_far_apart(self, points, s, root):
+        res = has_horizontal_chord(PiecewiseLinearFunction.from_breakpoints(points), s)
+        assert res.exists
+        assert res.witness_x == pytest.approx(root, rel=1e-15)
+
     def test_leftmost_witness(self):
         # two unit tents: s = 1 has crossings at 0.5 and 2.5; the first wins
         f = PiecewiseLinearFunction(
@@ -117,8 +142,13 @@ class TestHasHorizontalChord:
         lambda f: f.slopes(),
         chord_set,
         lambda f: chord_set_scan(f, 0.5),
+        lambda f: from_chord_function(f, 3.0, 100.0, 1.0),
+        lambda f: RaceProfile(3.0, 3.0, PiecewiseLinearFunction(f.xs, f.ys + f.xs)),
     ],
-    ids=["has_horizontal_chord", "slopes", "chord_set", "chord_set_scan"],
+    ids=[
+        "has_horizontal_chord", "slopes", "chord_set", "chord_set_scan", "from_chord_function",
+        "RaceProfile",
+    ],
 )
 def test_values_spanning_past_the_largest_float_are_refused(query):
     # g(1) = f(2) - f(1) would overflow to -inf, and the root between
@@ -190,6 +220,17 @@ class TestChordSetScan:
         with pytest.raises(ValueError, match="resolution"):
             chord_set_scan(sawtooth_fn, 10.0)
 
+    @pytest.mark.parametrize("resolution", [5e-324, 1e-300, 1e-18])
+    def test_step_count_past_the_largest_array(self, sawtooth_fn, monkeypatch, resolution):
+        # past the float range, and past the largest array numpy can hold:
+        # both are refused before anything is allocated
+        refuse_huge(monkeypatch, "arange", 0)
+        with pytest.raises(ValueError) as info:
+            chord_set_scan(sawtooth_fn, resolution)
+        assert str(info.value) == (
+            f"resolution {resolution:g} gives too many grid lengths over width 4.4"
+        )
+
     def test_single_point_function_rejected(self):
         f = PiecewiseLinearFunction(np.array([0.0]), np.array([0.0]))
         with pytest.raises(ValueError, match="single-point"):
@@ -203,6 +244,13 @@ class TestVerifyComplementAdditivity:
         for bad in (0.0, 10.0):
             with pytest.raises(ValueError, match="resolution"):
                 verify_complement_additivity(sawtooth_fn, bad)
+
+    def test_validates_resolution_without_a_grid(self, sawtooth_fn, monkeypatch):
+        # width * 1e-10 asks for 10^10 grid lengths, which are never built
+        refuse_huge(monkeypatch, "arange", 0)
+        assert verify_complement_additivity(sawtooth_fn, 4.4e-10).holds
+        with pytest.raises(ValueError, match="too many grid lengths"):
+            verify_complement_additivity(sawtooth_fn, 5e-324)
 
     def test_holds_for_golden(self, sawtooth_fn):
         check = verify_complement_additivity(sawtooth_fn, 4.4 / 500)

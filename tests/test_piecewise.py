@@ -111,6 +111,13 @@ class TestShiftDifference:
         with pytest.raises(ValueError, match="shift"):
             tent().shift_difference(-0.5)
 
+    def test_nan_shift_refused(self):
+        with pytest.raises(ValueError) as info:
+            tent().shift_difference(float("nan"))
+        assert str(info.value) == (
+            "shift (chord length) nan must lie in [0, 2] for a function of that width"
+        )
+
     @pytest.mark.parametrize(
         "x0, x1",
         [(0.00175655620602559, 5414.613959047123), (199.5154439682133, 3850.6171264164986), (0.0, 4.4)],

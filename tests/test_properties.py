@@ -1,7 +1,7 @@
 """Properties tying the exact chord set to the other layers: point
-queries, the Hopf construction, the additivity of the complement and
-JSON round trips; the validator's verdict to additivity alone; and every
-answer to the units of its input."""
+queries, the Hopf construction, the additivity of the complement, the
+sign-change bound and JSON round trips; the validator's verdict to
+additivity alone; and every answer to the units of its input."""
 
 import json
 
@@ -19,8 +19,10 @@ from chordlab import (
     function_to_obj,
     has_horizontal_chord,
     is_additive,
+    levit_bound,
     parse_function,
     smooth_samples_to_obj,
+    tolerance,
     validate_chord_spec,
 )
 from _corpus import (
@@ -80,6 +82,16 @@ def test_hopf_construction_recovered(seed):
 def test_complement_additive(seed):
     for f in functions(seed):
         assert is_additive(chord_set(f)).additive
+
+
+@settings(max_examples=30, deadline=None)
+@given(seeds)
+def test_levit_bound_never_exceeds_the_exact_value(seed):
+    # the sign-change bound is a theorem about the chord set; equality
+    # occurs, so the comparison keeps the tolerance
+    rng = np.random.default_rng(seed)
+    for f in (random_zero_ended_pl(rng), build_hopf(random_chord_set(rng))):
+        assert levit_bound(f) <= chord_set(f).gap_infimum + tolerance(f.width)
 
 
 @settings(max_examples=30, deadline=None)

@@ -15,6 +15,7 @@ from chordlab import (
     find_average_split,
     from_chord_function,
     to_chord_problem,
+    tolerance,
     window_time_extrema,
 )
 from _corpus import random_bounded_profile, random_integer_ratio_profile
@@ -348,15 +349,30 @@ class TestFromChordFunction:
             np.testing.assert_allclose(back.position.xs, profile.position.xs, atol=1e-6)
             np.testing.assert_allclose(back.position.ys, profile.position.ys, atol=1e-9)
 
-    def test_rescales_steep_functions_with_warning(self):
-        lam = 2.5
-        g = PiecewiseLinearFunction(
-            np.array([0.0, 1.25, 2.5]), np.array([0.0, 5.0, 0.0])
-        )
-        with pytest.warns(UserWarning, match="rescaled"):
-            profile = from_chord_function(g, 5.0, 1000.0, 2.0)
-        assert profile.total_distance == 5.0
-        assert np.all(np.diff(profile.position.ys) > 0)
+    def test_round_trip_with_fast_segments(self):
+        # a segment at twice the average speed or faster inverts exactly
+        profiles = [(RaceProfile.from_splits(3.0, 300.0, [(2.0, 50.0), (3.0, 300.0)]), 1.2)]
+        rng = np.random.default_rng(8)
+        while len(profiles) < 20:
+            ts = np.cumsum(np.r_[0.0, rng.uniform(0.1, 2.0, int(rng.integers(2, 8)))])
+            ds = np.cumsum(np.r_[0.0, rng.uniform(0.1, 2.0, ts.size - 1)])
+            if np.max(np.diff(ds) / np.diff(ts)) >= 2 * ds[-1] / ts[-1]:
+                p = RaceProfile(ds[-1], ts[-1], PiecewiseLinearFunction(ts, ds))
+                profiles.append((p, ds[-1] / rng.uniform(1.3, 4.0)))
+        for profile, d in profiles:
+            L, T = profile.total_distance, profile.total_time
+            back = from_chord_function(to_chord_problem(profile, d), L, T, d)
+            pos = profile.position
+            np.testing.assert_allclose(back.position.xs, pos.xs, rtol=0, atol=tolerance(T))
+            np.testing.assert_allclose(back.position.ys, pos.ys, rtol=0, atol=tolerance(L))
+
+    @pytest.mark.parametrize("peak, segment", [(2.5, 1), (5.0, 1), (-2.5, 0)])
+    def test_refuses_slopes_that_stall_the_runner(self, peak, segment):
+        # slopes +-peak / 1.25 on [0, 2.5]; one of -2 or less stalls a runner
+        # who covers d = 2 per unit, and RaceProfile names that segment
+        g = PiecewiseLinearFunction(np.array([0.0, 1.25, 2.5]), np.array([0.0, peak, 0.0]))
+        with pytest.raises(ValueError, match=f"strictly forward progress; segment {segment} "):
+            from_chord_function(g, 5.0, 1000.0, 2.0)
 
     def test_rejects_wrong_domain(self):
         g = PiecewiseLinearFunction(np.array([0.0, 1.0]), np.array([0.0, 0.0]))
