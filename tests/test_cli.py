@@ -20,7 +20,7 @@ from chordlab import (
 )
 from chordlab import cli, oracle
 from chordlab.cli import main, parse_duration
-from _corpus import SAWTOOTH_PAIRS
+from _corpus import SAWTOOTH_PAIRS, refuse_huge
 
 
 @pytest.fixture
@@ -102,20 +102,24 @@ class TestConstruct:
         assert obj["kind"] == "smooth"
         assert len(obj["samples"]) == 1001
 
-    @pytest.mark.parametrize("sup", ["0", "5e-324"])
-    def test_smooth_refuses_a_set_too_small_to_sample(self, tmp_path, capsys, sup):
-        # {0} and [0, 5e-324] validate, but 1001 samples of [0, sup] would repeat
-        path = tmp_path / "tiny.json"
-        path.write_text(f'{{"intervals": [[0, {sup}]]}}')
-        assert main(["validate", str(path)]) == 0
-        capsys.readouterr()
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "5e-324"])
+    def test_smooth_resolution_must_be_positive_and_finite(self, tmp_path, capsys, value):
+        # the spacing is sup / 1000: a non-finite sup is refused as an
+        # endpoint, and {0} and [0, 5e-324], which validate, because 1001
+        # samples of [0, sup] would repeat
+        sup = float(value)
+        path = tmp_path / "set.json"
+        path.write_text(json.dumps({"intervals": [[0, sup]]}))
+        if np.isfinite(sup):
+            assert main(["validate", str(path)]) == 0
+            capsys.readouterr()
+            expected = f"the chord set's sup {sup:g} is too small to sample at 1001 distinct points"
+        else:
+            expected = f"interval endpoints must be finite, got [0, {sup:g}]"
         assert main(["construct", str(path), "--shape", "smooth"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (
-            f"error: the chord set's sup {float(sup):g} is too small to sample at 1001 "
-            "distinct points\n"
-        )
+        assert captured.err == f"error: {expected}\n"
 
     def test_inadmissible_exits_1(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -174,25 +178,30 @@ class TestChords:
         assert len(calls) == 1
         assert "[0, 0.9], [1.1, 1.8]" in capsys.readouterr().out
 
-    @pytest.mark.parametrize(
-        "flag", [["--tolerance", "0"], ["--resolution", "0.1"]], ids=["tolerance", "resolution"]
-    )
-    def test_removed_flags_not_accepted(self, spec_path, miles_path, tmp_path, flag):
-        # tolerances follow from the data, and the grid and sample counts
-        # are constants; no subcommand takes either flag
-        race = ["--window", "1"]
-        for argv in (
-            ["validate", spec_path],
-            ["construct", spec_path],
-            ["chords", spec_path, "--output", str(tmp_path / "scan.csv")],
-            ["race-plan", "--distance", "3", "--time", "20:00", "--window", "2"],
-            ["race-find-split", miles_path] + race,
-            ["race-exists-split", miles_path] + race,
-            ["plot", spec_path, "--output", str(tmp_path / "f.svg")],
-        ):
-            with pytest.raises(SystemExit) as exc:
-                main(argv + flag)
-            assert exc.value.code == 2
+    def test_tolerance_not_accepted(self, spec_path, miles_path, tmp_path):
+        # tolerances follow from the data; no subcommand takes the flag
+        _refused_by_every_subcommand(["--tolerance", "0"], spec_path, miles_path, tmp_path)
+
+    def test_resolution_not_accepted(self, spec_path, miles_path, tmp_path):
+        # the grid and sample counts are constants; no subcommand takes the flag
+        _refused_by_every_subcommand(["--resolution", "0.1"], spec_path, miles_path, tmp_path)
+
+
+def _refused_by_every_subcommand(flag, spec_path, miles_path, tmp_path):
+    """Every subcommand exits 2, argparse's usage error, when given flag."""
+    race = ["--window", "1"]
+    for argv in (
+        ["validate", spec_path],
+        ["construct", spec_path],
+        ["chords", spec_path, "--output", str(tmp_path / "scan.csv")],
+        ["race-plan", "--distance", "3", "--time", "20:00", "--window", "2"],
+        ["race-find-split", miles_path] + race,
+        ["race-exists-split", miles_path] + race,
+        ["plot", spec_path, "--output", str(tmp_path / "f.svg")],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + flag)
+        assert exc.value.code == 2
 
 
 _NO_MEMORY = "Unable to allocate 3.91 KiB for an array with shape (501,) and data type float64"
@@ -208,8 +217,23 @@ def _fail_allocation(monkeypatch, name):
     monkeypatch.setattr(np, name, alloc)
 
 
-class TestOutOfMemory:
-    """A failed allocation is one error line and exit 1, with nothing written."""
+class TestUnhonourableResolution:
+    """A grid or sample count that cannot be honoured, because it is too
+    large or its allocation fails, is one error line and exit 1, with
+    nothing written."""
+
+    def test_chords_step_count_overflows(self, monkeypatch):
+        # chords scans at width / 500; the scan behind it refuses resolutions
+        # past the float range, and past the largest array numpy can hold,
+        # before anything is allocated
+        refuse_huge(monkeypatch, "arange", 0)
+        f = build_hopf(SAWTOOTH_PAIRS)
+        for resolution in (5e-324, 1e-300, 1e-18):
+            with pytest.raises(ValueError) as info:
+                cli._scan_with_set(f, resolution)
+            assert str(info.value) == (
+                f"resolution {resolution:g} gives too many grid lengths over width 4.4"
+            )
 
     def test_chords_out_of_memory(self, spec_path, tmp_path, capsys, monkeypatch):
         fn_path = tmp_path / "fn.json"
@@ -235,6 +259,15 @@ class TestOutOfMemory:
         monkeypatch.setattr(cli, "build_hopf", boom)
         assert main(["construct", spec_path]) == 1
         assert capsys.readouterr().err == "error: MemoryError\n"
+
+
+def test_additivity_check_validates_resolution_without_a_grid(monkeypatch):
+    # width * 1e-10 asks for 10^10 grid lengths, which are never built
+    refuse_huge(monkeypatch, "arange", 0)
+    f = build_hopf(SAWTOOTH_PAIRS)
+    assert oracle.verify_complement_additivity(f, f.width * 1e-10).holds
+    with pytest.raises(ValueError, match="too many grid lengths"):
+        oracle.verify_complement_additivity(f, 5e-324)
 
 
 class TestOverflowingInputs:
