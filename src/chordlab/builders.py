@@ -1,19 +1,24 @@
 """Constructions of functions with prescribed horizontal chord sets.
 
-Three families:
+Two realizations of an admissible chord set, and one chord-avoiding
+construction:
 
 * :func:`build_hopf` realizes an admissible chord set exactly, as the
   signed distance to the set's boundary (piecewise linear, slopes +-1).
-* :func:`eval_generalized` evaluates the same idea with an arbitrary
-  two-argument profile applied to the distances to the nearest boundary
-  points on either side.  One call to :meth:`ClosedIntervalSet.locate`
-  per point gives those points and the sign.  :func:`eval_smooth`
-  specializes to the flat exponential profile, which is infinitely
-  differentiable in the interior of every component.
+* :func:`smooth_chord_function` realizes it with the flat exponential
+  profile of the distances to the nearest boundary points on either
+  side, which :func:`eval_smooth` evaluates: infinitely differentiable
+  in the interior of every component, flat to all orders at every
+  boundary point.
 * :func:`build_levy` produces a function on [0, W] with equal endpoint
   values that has no horizontal chord of a chosen length h, whenever W
   is not an integer multiple of h.  (When it is, such a chord is forced;
   that is the universal chord theorem.)
+
+A set is the chord set of some function exactly when its complement is
+additive (Hopf), so both realizations pass their input through one
+admissibility gate and refuse any other set with the same
+ValidationError.
 """
 
 from __future__ import annotations
@@ -107,6 +112,16 @@ class SmoothFunction:
         return PiecewiseLinearFunction(xs, ys)
 
 
+def _admissible(spec) -> ClosedIntervalSet:
+    """The chord set that spec (a set or a list of [lo, hi] pairs) names,
+    if it is admissible.  Raises ValidationError with the whole
+    validation report otherwise."""
+    report = validate_chord_spec(spec)
+    if not report.ok:
+        raise ValidationError("chord set fails validation:\n" + report.summary())
+    return report.interval_set
+
+
 def build_hopf(spec) -> PiecewiseLinearFunction:
     """Signed distance to the boundary of an admissible chord set.
 
@@ -115,10 +130,7 @@ def build_hopf(spec) -> PiecewiseLinearFunction:
     horizontal chord set of the result is exactly the input set.
     Raises ValidationError if the set fails admissibility checks.
     """
-    report = validate_chord_spec(spec)
-    if not report.ok:
-        raise ValidationError("chord set fails validation:\n" + report.summary())
-    s = report.interval_set
+    s = _admissible(spec)
     points: list[tuple[float, float]] = []
     for iv in s.intervals:
         points.append((iv.lo, 0.0))
@@ -141,78 +153,34 @@ def _flat_product(alpha: float, beta: float) -> float:
     return math.exp(-1.0 / ab)
 
 
-def _check_shape_function(fn: Callable[[float, float], float], scale: float) -> None:
-    """Heuristic spot check that fn vanishes on the axes and is jointly
-    strictly increasing off them, probed on a 5x5 grid over [0, scale]^2.
-    Vanishing means within the tolerance of the largest probed value."""
-    grid = [scale * i / 4.0 for i in range(5)]
-    vals = [[float(fn(a, b)) for b in grid] for a in grid]
-    slack = tolerance(*(v for row in vals for v in row))
-    for i in range(5):
-        if abs(vals[0][i]) > slack or abs(vals[i][0]) > slack:
-            a, b = (grid[0], grid[i]) if abs(vals[0][i]) > slack else (grid[i], grid[0])
-            raise ValueError(
-                f"shape function must vanish when either argument is 0; "
-                f"F({a:g}, {b:g}) = {float(fn(a, b)):g}"
-            )
-    for i1 in range(5):
-        for j1 in range(5):
-            for i2 in range(i1, 5):
-                for j2 in range(j1, 5):
-                    if (i1, j1) == (i2, j2) or i2 == 0 or j2 == 0:
-                        continue
-                    if not vals[i1][j1] < vals[i2][j2]:
-                        raise ValueError(
-                            "shape function fails the monotonicity spot check: "
-                            f"expected F({grid[i1]:g}, {grid[j1]:g}) < "
-                            f"F({grid[i2]:g}, {grid[j2]:g}), "
-                            f"got {vals[i1][j1]:g} vs {vals[i2][j2]:g}"
-                        )
-
-
-def _shape_check_scale(s: ClosedIntervalSet) -> float:
-    # Probe on the scale of the largest component, floored at 1 so the
-    # flat exponential profile is not rejected through float underflow
-    # when every component is tiny.
-    return max(max(iv.length for iv in s.intervals), 1.0)
-
-
-def eval_generalized(s: ClosedIntervalSet, shape_fn: Callable[[float, float], float], x):
-    """Evaluate the generalized boundary-distance construction at x.
+def eval_smooth(s: ClosedIntervalSet, x):
+    """Evaluate the flat exponential construction of s at x.
 
     With a = nearest boundary point at or below x and b = nearest at or
-    above, the value is +-shape_fn(x - a, b - x): positive inside the
-    set's intervals, negative in the gaps, zero on the boundary.  The
-    shape function must vanish iff either argument is 0 and be jointly
-    strictly increasing for positive arguments; a grid spot check
-    rejects obviously unsuitable functions on every call.
+    above, the value is +-exp(-1/((x - a)(b - x))): positive inside the
+    set's intervals, negative in the gaps, zero on the boundary.  Smooth
+    in the interior of every component and flat to all orders at every
+    boundary point.  This is the ungated formula: its values realize s
+    only when s is admissible, which :func:`smooth_chord_function` and
+    :func:`build_hopf` check.
     """
-    _check_shape_function(shape_fn, _shape_check_scale(s))
-    return _eval_signed(s, shape_fn, x)
-
-
-def _eval_signed(s: ClosedIntervalSet, shape_fn: Callable[[float, float], float], x):
     arr = np.asarray(x, dtype=np.float64)
     out = np.empty(arr.size)
     for i, xv in enumerate(arr.ravel().tolist()):
         sign, a, b = s.locate(xv)
-        val = float(shape_fn(xv - a, b - xv)) if sign else 0.0
+        val = _flat_product(xv - a, b - xv) if sign else 0.0
         # Negate rather than multiply so an underflowed magnitude keeps
         # its sign bit (-0.0), which downstream sign probes rely on.
         out[i] = -val if sign < 0 else val
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
-def eval_smooth(s: ClosedIntervalSet, x):
-    """Generalized construction with the flat exponential profile
-    exp(-1/(alpha*beta)).  Smooth in the interior of every component and
-    flat to all orders at every boundary point."""
-    return _eval_signed(s, _flat_product, x)
-
-
-def smooth_chord_function(s: ClosedIntervalSet) -> SmoothFunction:
-    """Package :func:`eval_smooth` for the given set as a function object
-    on [0, sup]."""
+def smooth_chord_function(spec) -> SmoothFunction:
+    """Package :func:`eval_smooth` for an admissible chord set as a
+    function object on [0, sup].  Takes a set or a list of [lo, hi]
+    pairs and raises ValidationError, as :func:`build_hopf` does, if the
+    set fails admissibility checks."""
+    s = _admissible(spec)
     return SmoothFunction(lambda x: eval_smooth(s, x), 0.0, s.sup)
 
 

@@ -13,14 +13,13 @@ import sys
 from pathlib import Path
 
 from .builders import build_hopf, smooth_chord_function
-from .intervals import validate_chord_spec
+from .intervals import tolerance, validate_chord_spec
 from .io import (
     format_json,
     function_to_obj,
     interval_set_to_obj,
     load_json,
     parse_function,
-    parse_interval_set,
     parse_profile,
     profile_to_obj,
     save_json,
@@ -64,31 +63,30 @@ def _emit(obj: dict, output: str | None) -> None:
         print(f"wrote {output}")
 
 
-def _cmd_validate(args) -> int:
-    obj = load_json(args.spec)
+def _load_spec(path):
+    """The "intervals" value of a chord-set spec file, unchecked."""
+    obj = load_json(path)
     if not isinstance(obj, dict) or "intervals" not in obj:
-        raise ValueError(f'{args.spec} must contain key "intervals"')
-    report = validate_chord_spec(obj["intervals"])
+        raise ValueError(f'{path} must contain key "intervals"')
+    return obj["intervals"]
+
+
+def _cmd_validate(args) -> int:
+    report = validate_chord_spec(_load_spec(args.spec))
     print(report.summary())
     return 0 if report.ok else 3
 
 
 def _cmd_construct(args) -> int:
-    obj = load_json(args.spec)
-    if not isinstance(obj, dict) or "intervals" not in obj:
-        raise ValueError(f'{args.spec} must contain key "intervals"')
+    spec = _load_spec(args.spec)
     if args.shape == "hopf":
-        f = build_hopf(obj["intervals"])
-        _emit(function_to_obj(f), args.output)
+        _emit(function_to_obj(build_hopf(spec)), args.output)
         return 0
-    s = parse_interval_set(obj)
-    report = validate_chord_spec(s)
-    if not report.ok:
-        raise ValueError("chord set fails validation:\n" + report.summary())
-    xs, ys = smooth_chord_function(s).sample(_SMOOTH_SAMPLES)
+    sf = smooth_chord_function(spec)
+    xs, ys = sf.sample(_SMOOTH_SAMPLES)
     if not (xs[1:] > xs[:-1]).all():
         raise ValueError(
-            f"the chord set's sup {s.sup:g} is too small to sample at "
+            f"the chord set's sup {sf.x_max:g} is too small to sample at "
             f"{_SMOOTH_SAMPLES} distinct points"
         )
     _emit(smooth_samples_to_obj(xs, ys), args.output)
@@ -97,7 +95,15 @@ def _cmd_construct(args) -> int:
 
 def _cmd_chords(args) -> int:
     f = parse_function(load_json(args.function))
-    scan, exact = _scan_with_set(f, f.width / 500.0)
+    w = f.width
+    step = w / 500.0
+    # A subnormal step rounds so coarsely that 500 of them miss the
+    # width; a width of 0 keeps the scan's single-point message.
+    if w > 0 and abs(500.0 * step - w) > tolerance(w):
+        raise ValueError(
+            f"the function's width {w:g} is too small to scan at 501 evenly spaced lengths"
+        )
+    scan, exact = _scan_with_set(f, step)
     main_path, bpath = write_chord_scan(scan, args.output)
     member = int(scan.membership.sum())
     pairs = ", ".join(f"[{iv.lo:.6g}, {iv.hi:.6g}]" for iv in exact.intervals)

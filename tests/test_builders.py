@@ -12,7 +12,6 @@ from chordlab import (
     ValidationError,
     build_hopf,
     build_levy,
-    eval_generalized,
     eval_smooth,
     has_horizontal_chord,
     smooth_chord_function,
@@ -161,22 +160,6 @@ class TestEvalSmooth:
             eval_smooth(sawtooth_set, 5.0)
 
 
-class TestEvalGeneralized:
-    def test_product_shape(self, sawtooth_set):
-        val = eval_generalized(sawtooth_set, lambda a, b: a * b, 0.45)
-        assert val == pytest.approx(0.2025, rel=1e-12)
-        gap = eval_generalized(sawtooth_set, lambda a, b: a * b, 1.0)
-        assert gap == pytest.approx(-0.01, rel=1e-12)
-
-    def test_rejects_nonvanishing_shape(self, sawtooth_set):
-        with pytest.raises(ValueError, match="vanish"):
-            eval_generalized(sawtooth_set, lambda a, b: a + b + 1.0, 0.45)
-
-    def test_rejects_non_monotone_shape(self, sawtooth_set):
-        with pytest.raises(ValueError, match="monotonicity"):
-            eval_generalized(sawtooth_set, lambda a, b: min(a, b), 0.45)
-
-
 class TestSmoothFunction:
     def test_fn_runs_once_per_call(self):
         calls = []
@@ -229,6 +212,22 @@ class TestSmoothChordFunction:
         assert isinstance(sf, SmoothFunction)
         assert (sf.x_min, sf.x_max) == (0.0, 4.4)
         assert sf(0.45) == eval_smooth(sawtooth_set, 0.45)
+        assert smooth_chord_function(SAWTOOTH_PAIRS)(0.45) == sf(0.45)
+
+    def test_refuses_what_build_hopf_refuses(self):
+        # 1 + 1 = 2: the complement is not additive, so no function has
+        # this chord set, and both realizations say so in the same words
+        bad = [[0, 0.9], [1.1, 2.5]]
+        with pytest.raises(ValidationError) as hopf:
+            build_hopf(bad)
+        with pytest.raises(ValidationError) as smooth:
+            smooth_chord_function(bad)
+        assert str(smooth.value) == str(hopf.value) == (
+            "chord set fails validation:\n"
+            "structure: ok (2 intervals, sup = 2.5)\n"
+            "additivity: FAIL (complement not closed under addition: 1 + 1 = 2 lies in the set)\n"
+            "not a valid chord set"
+        )
 
     def test_sample_and_to_piecewise(self, sawtooth_set):
         sf = smooth_chord_function(sawtooth_set)

@@ -104,8 +104,8 @@ class TestConstruct:
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "5e-324"])
     def test_smooth_resolution_must_be_positive_and_finite(self, tmp_path, capsys, value):
-        # the spacing is sup / 1000: a non-finite sup is refused as an
-        # endpoint, and {0} and [0, 5e-324], which validate, because 1001
+        # the spacing is sup / 1000: a non-finite sup fails validation, and
+        # {0} and [0, 5e-324], which validate, are refused because 1001
         # samples of [0, sup] would repeat
         sup = float(value)
         path = tmp_path / "set.json"
@@ -115,7 +115,11 @@ class TestConstruct:
             capsys.readouterr()
             expected = f"the chord set's sup {sup:g} is too small to sample at 1001 distinct points"
         else:
-            expected = f"interval endpoints must be finite, got [0, {sup:g}]"
+            expected = (
+                "chord set fails validation:\n"
+                f"structure: FAIL (interval endpoints must be finite, got [0, {sup:g}])\n"
+                "not a valid chord set"
+            )
         assert main(["construct", str(path), "--shape", "smooth"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -126,6 +130,33 @@ class TestConstruct:
         path.write_text(json.dumps({"intervals": [[0, 0.9], [1.1, 2.5]]}))
         assert main(["construct", str(path)]) == 1
         assert "fails validation" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("shape", ["hopf", "smooth"])
+    @pytest.mark.parametrize(
+        "pairs, report",
+        [
+            ([[0.5, 0.9]], "structure: FAIL (the first interval must start at 0, got lo = 0.5)"),
+            (
+                [[0, 0.9], [1.1, 2.5]],
+                "structure: ok (2 intervals, sup = 2.5)\nadditivity: FAIL (complement not "
+                "closed under addition: 1 + 1 = 2 lies in the set)",
+            ),
+        ],
+        ids=["malformed", "inadmissible"],
+    )
+    def test_refused_set_reads_the_same_for_every_shape(self, tmp_path, capsys, shape, pairs, report):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"intervals": pairs}))
+        assert main(["construct", str(path), "--shape", shape]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: chord set fails validation:\n{report}\nnot a valid chord set\n"
+        )
+
+
+_TOO_SMALL = "the function's width {} is too small to scan at 501 evenly spaced lengths"
 
 
 class TestChords:
@@ -177,6 +208,35 @@ class TestChords:
         assert main(["chords", str(fn_path), "--output", str(tmp_path / "scan.csv")]) == 0
         assert len(calls) == 1
         assert "[0, 0.9], [1.1, 1.8]" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "breakpoints, message",
+        [
+            # width / 500 rounds to 0, or to steps that give 406 and 608 lengths
+            ("[0, 0], [1e-321, 1]", _TOO_SMALL.format("9.98013e-322")),
+            ("[0, 0], [2e-321, 1]", _TOO_SMALL.format("2.00097e-321")),
+            ("[0, 0], [6e-321, 1]", _TOO_SMALL.format("5.99796e-321")),
+            ("[0, 0]", "cannot scan a single-point function"),
+        ],
+        ids=["1e-321", "2e-321", "6e-321", "single-point"],
+    )
+    def test_width_too_small_to_scan(self, tmp_path, capsys, breakpoints, message):
+        path = tmp_path / "f.json"
+        path.write_text(f'{{"breakpoints": [{breakpoints}]}}')
+        out = tmp_path / "scan.csv"
+        assert main(["chords", str(path), "--output", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_subnormal_step_scans_501_lengths(self, tmp_path, capsys):
+        path = tmp_path / "f.json"
+        path.write_text('{"breakpoints": [[0, 0], [1e-310, 1]]}')
+        out = tmp_path / "scan.csv"
+        assert main(["chords", str(path), "--output", str(out)]) == 0
+        assert capsys.readouterr().out.startswith("scanned 501 lengths")
+        assert len(out.read_text().splitlines()) == 502
 
     def test_tolerance_not_accepted(self, spec_path, miles_path, tmp_path):
         # tolerances follow from the data; no subcommand takes the flag
