@@ -131,7 +131,6 @@ class TestConstruct:
         assert main(["construct", str(path)]) == 1
         assert "fails validation" in capsys.readouterr().err
 
-
     @pytest.mark.parametrize("shape", ["hopf", "smooth"])
     @pytest.mark.parametrize(
         "pairs, report",
@@ -145,7 +144,9 @@ class TestConstruct:
         ],
         ids=["malformed", "inadmissible"],
     )
-    def test_refused_set_reads_the_same_for_every_shape(self, tmp_path, capsys, shape, pairs, report):
+    def test_refused_set_reads_the_same_for_every_shape(
+        self, tmp_path, capsys, shape, pairs, report
+    ):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"intervals": pairs}))
         assert main(["construct", str(path), "--shape", shape]) == 1
