@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import bisect
 import math
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
 
 RTOL = 1e-9
 
@@ -45,6 +45,9 @@ class ValidationError(ValueError):
     """Raised when a candidate chord set is malformed or inadmissible."""
 
 
+_NOT_NUMBERS = (bool, str, bytes)
+
+
 @dataclass(frozen=True)
 class Interval:
     """A closed interval [lo, hi] with 0 <= lo <= hi.
@@ -57,19 +60,26 @@ class Interval:
     hi: float
 
     def __post_init__(self) -> None:
-        lo = float(self.lo)
-        hi = float(self.hi)
+        given_lo, given_hi = self.lo, self.hi
+        lo = float(given_lo)
+        hi = float(given_hi)
+        if lo is not given_lo or hi is not given_hi:
+            # float() also reads a boolean as 0 or 1 and a string as the
+            # number it spells
+            if isinstance(given_lo, _NOT_NUMBERS) or isinstance(given_hi, _NOT_NUMBERS):
+                raise ValidationError(
+                    f"interval endpoints must be numbers, got [{given_lo!r}, {given_hi!r}]"
+                )
+            object.__setattr__(self, "lo", lo)
+            object.__setattr__(self, "hi", hi)
         if not 0.0 <= lo <= hi < math.inf:
             if not (math.isfinite(lo) and math.isfinite(hi)):
                 raise ValidationError(
-                    f"interval endpoints must be finite, got [{self.lo}, {self.hi}]"
+                    f"interval endpoints must be finite, got [{given_lo}, {given_hi}]"
                 )
             if lo < 0.0:
                 raise ValidationError(f"interval [{lo:g}, {hi:g}] has a negative endpoint")
             raise ValidationError(f"interval [{lo:g}, {hi:g}] is reversed (hi < lo)")
-        if lo is not self.lo or hi is not self.hi:
-            object.__setattr__(self, "lo", lo)
-            object.__setattr__(self, "hi", hi)
 
     @property
     def length(self) -> float:
@@ -196,6 +206,13 @@ class ClosedIntervalSet:
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[Sequence[float]]) -> "ClosedIntervalSet":
+        """The set of the given [lo, hi] pairs.  Parsed specs come in here,
+        for ``validate``, both shapes of ``construct`` and
+        :func:`chordlab.io.parse_interval_set`.  A string or a mapping is
+        refused, since its items would read as characters or keys; so are
+        boolean and string endpoints, by :class:`Interval`."""
+        if isinstance(pairs, (str, bytes, Mapping)) or not isinstance(pairs, Iterable):
+            raise ValidationError('"intervals" must be a list of [lo, hi] pairs')
         try:
             return cls(tuple(tuple(p) for p in pairs))
         except ValidationError:

@@ -96,10 +96,7 @@ def interval_set_to_obj(s: ClosedIntervalSet) -> dict:
 def parse_interval_set(obj: dict) -> ClosedIntervalSet:
     if not isinstance(obj, dict) or "intervals" not in obj:
         raise ValueError('interval set object must contain key "intervals"')
-    rows = obj["intervals"]
-    if not isinstance(rows, list):
-        raise ValueError('"intervals" must be a list of [lo, hi] pairs')
-    return ClosedIntervalSet.from_pairs(rows)
+    return ClosedIntervalSet.from_pairs(obj["intervals"])
 
 
 def function_to_obj(f: PiecewiseLinearFunction) -> dict:

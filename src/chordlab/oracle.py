@@ -13,6 +13,7 @@ module also gives the sign-change lower bound on guaranteed chord lengths.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,7 +80,7 @@ def has_horizontal_chord(f: PiecewiseLinearFunction, s: float) -> ChordQueryResu
     return ChordQueryResult(False, s, None, vertices)
 
 
-_BLOCK_CELLS = 1 << 16  # cells per row block; bounds peak memory
+_BLOCK_CELLS = 1 << 10  # cells per block; bounds peak memory
 
 
 def _union(lo: np.ndarray, hi: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
@@ -87,18 +88,48 @@ def _union(lo: np.ndarray, hi: np.ndarray, eps: float) -> tuple[np.ndarray, np.n
     sorted starts and ends; sorts lo and hi in place.  With starts and ends
     sorted separately, the k-th start opens a component exactly when it
     lies past the (k-1)-th end, so one mask picks both the later starts and
-    the ends before them."""
+    the ends before them.  The result is the same for any grouping of the
+    intervals into calls whose results are united again."""
     lo.sort()
     hi.sort()
     cut = lo[1:] > hi[:-1] + eps
     return np.concatenate((lo[:1], lo[1:][cut])), np.concatenate((hi[:-1][cut], hi[-1:]))
 
 
+def _cell_blocks(vmin: np.ndarray, vmax: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The cells, the pairs of pieces i <= j whose value ranges [vmin,
+    vmax] overlap (touching counts), as index arrays (ii, jj) in blocks of
+    at most ``_BLOCK_CELLS``.
+
+    In the stable order of vmin, piece a overlaps exactly the run of
+    pieces from a up to the last whose vmin is at most vmax of a, found
+    with one ``searchsorted``.  The runs laid end to end are cut into
+    blocks, and each cell is oriented as (min, max) of its pieces'
+    indices.  Work: O(n log n + cells) for n pieces; memory: O(n) plus
+    one block."""
+    n = vmin.size
+    order = np.argsort(vmin, kind="stable")
+    # the run of sorted position a is positions a .. end[a] - 1; laid end
+    # to end, the runs give a cells stop[a] - (end[a] - a) .. stop[a] - 1
+    end = np.searchsorted(vmin[order], vmax[order], side="right")
+    stop = end - np.arange(n)
+    np.cumsum(stop, out=stop)
+    total = int(stop[-1]) if n else 0
+    # cell k of the run of a pairs a with position k + end[a] - stop[a]
+    end -= stop
+    for k0 in range(0, total, _BLOCK_CELLS):
+        k = np.arange(k0, min(k0 + _BLOCK_CELLS, total))
+        a = np.searchsorted(stop, k, side="right")
+        k += end[a]
+        i, j = order[a], order[k]
+        yield np.minimum(i, j), np.maximum(i, j)
+
+
 def _chord_bounds(f: PiecewiseLinearFunction) -> tuple[np.ndarray, np.ndarray]:
-    """Starts and ends of the intervals of :func:`chord_set`, as arrays."""
+    """Starts and ends of the intervals of :func:`chord_set`, as arrays,
+    united block by block over :func:`_cell_blocks`."""
     f._check_spans()
     xs, ys = f.xs, f.ys
-    n = xs.size - 1
     x0, x1, y0 = xs[:-1], xs[1:], ys[:-1]
     vmin, vmax = np.minimum(y0, ys[1:]), np.maximum(y0, ys[1:])
     flat = y0 == ys[1:]
@@ -118,23 +149,7 @@ def _chord_bounds(f: PiecewiseLinearFunction) -> tuple[np.ndarray, np.ndarray]:
         return x, np.where(flat[k], right, x)
 
     parts = [(np.zeros(1), np.zeros(1))]
-    rows = max(1, _BLOCK_CELLS // max(n, 1))
-    # cell (r0 + r, r0 + c) of a block has j >= i when c >= r, which only
-    # the block's first columns can break
-    upper = np.arange(min(rows, n))
-    upper = upper >= upper[:, None]
-    for r0 in range(0, n, rows):
-        r1 = min(r0 + rows, n)
-        cells = vmin[r0:r1, None] <= vmax[r0:]
-        cells &= vmin[r0:] <= vmax[r0:r1, None]
-        cells[:, : r1 - r0] &= upper[: r1 - r0, : r1 - r0]
-        # a flat index beats a 2-d nonzero, and floor division beats divmod
-        flat_idx = cells.ravel().nonzero()[0]
-        cols = n - r0
-        ii = flat_idx // cols
-        jj = flat_idx - ii * cols
-        ii += r0
-        jj += r0
+    for ii, jj in _cell_blocks(vmin, vmax):
         v = np.empty((2, ii.size))
         np.maximum(vmin[ii], vmin[jj], out=v[0])
         np.minimum(vmax[ii], vmax[jj], out=v[1])
@@ -156,10 +171,12 @@ def chord_set(f: PiecewiseLinearFunction) -> ClosedIntervalSet:
     ranges (a flat piece sweeps its whole x-range).  Gaps of a few ulps
     in the union are rounding and are closed, since they break additivity.
 
-    Cost: the pairs of pieces are tested in row blocks of at most 2^16,
-    which bounds memory, and the float work runs on the cells, the pairs
-    whose value ranges overlap.  On top of that each call pays a small
-    fixed part: a few dozen numpy calls and the set's construction."""
+    Cost: O(n log n + cells) for n pieces, where the cells are the pairs
+    whose value ranges overlap.  Sorting the pieces by their lowest value
+    finds each piece's partners as one run of that order, and the cells
+    are worked in blocks of at most 2^10, which bounds memory.  On top of
+    that each call pays a small fixed part: a few dozen numpy calls and
+    the set's construction."""
     return _interval_set(*_chord_bounds(f))
 
 

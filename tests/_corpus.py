@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from chordlab import ClosedIntervalSet, PiecewiseLinearFunction, RaceProfile, is_additive, tolerance
 from chordlab.intervals import AdditivityResult, _sum_counterexample
-from chordlab.oracle import _BLOCK_CELLS
 
 SAWTOOTH_PAIRS = [[0, 0.9], [1.1, 1.8], [2.2, 2.7], [3.3, 3.6], [4.4, 4.4]]
 
@@ -281,10 +280,17 @@ def _reference_union(lo, hi, eps):
     return lo[np.r_[0, new]], hi[np.r_[new - 1, lo.size - 1]]
 
 
+# pairs of pieces per row block of the reference, fixed apart from the library's blocks
+_REFERENCE_BLOCK_PAIRS = 2**16
+
+
 def reference_chord_set(f: PiecewiseLinearFunction) -> ClosedIntervalSet:
-    """Counterpart of :func:`chord_set` that builds each block's cells
-    with ``np.ogrid`` and a flat ``divmod``, in the same cells and blocks
-    and with the same float operations, so the sets must agree bitwise."""
+    """Dense counterpart of :func:`chord_set`: it tests every pair of
+    pieces i <= j in row blocks of up to 2^16 pairs, with ``np.ogrid`` and
+    a flat ``divmod``.  It works the same cells with the same float
+    operations as the library, only grouped into other blocks, and the
+    eps-closed union does not depend on the grouping, so the sets must
+    agree bitwise."""
     xs, ys = f.xs, f.ys
     n = xs.size - 1
     vmin, vmax = np.minimum(ys[:-1], ys[1:]), np.maximum(ys[:-1], ys[1:])
@@ -298,7 +304,7 @@ def reference_chord_set(f: PiecewiseLinearFunction) -> ClosedIntervalSet:
         return x, np.where(flat[k], xs[k + 1], x)
 
     parts = [(np.zeros(1), np.zeros(1))]
-    rows = max(1, _BLOCK_CELLS // max(n, 1))
+    rows = max(1, _REFERENCE_BLOCK_PAIRS // max(n, 1))
     for r0 in range(0, n, rows):
         i, j = np.ogrid[r0 : min(r0 + rows, n), r0:n]
         cells = (vmin[i] <= vmax[j]) & (vmin[j] <= vmax[i]) & (j >= i)

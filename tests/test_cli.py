@@ -59,6 +59,17 @@ class TestParseDuration:
                 parse_duration(bad)
 
 
+# "intervals" values that float() or iteration would misread as a set:
+# the characters of a string, the keys of an object, true as 1
+_MISREAD_SPECS = [
+    ("oops", 'structure: FAIL ("intervals" must be a list of [lo, hi] pairs)'),
+    ({"0": 1}, 'structure: FAIL ("intervals" must be a list of [lo, hi] pairs)'),
+    ([[0, True]], "structure: FAIL (interval endpoints must be numbers, got [0, True])"),
+    (["01"], "structure: FAIL (interval endpoints must be numbers, got ['0', '1'])"),
+]
+_MISREAD_IDS = ["string", "object", "boolean-endpoint", "string-pair"]
+
+
 class TestValidate:
     def test_golden(self, spec_path, capsys):
         assert main(["validate", spec_path]) == 0
@@ -81,6 +92,15 @@ class TestValidate:
         path.write_text(json.dumps({"things": []}))
         assert main(["validate", str(path)]) == 1
         assert '"intervals"' in capsys.readouterr().err
+
+    @pytest.mark.parametrize("intervals, report", _MISREAD_SPECS, ids=_MISREAD_IDS)
+    def test_misread_spec_fails_structure(self, tmp_path, capsys, intervals, report):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"intervals": intervals}))
+        assert main(["validate", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == f"{report}\nnot a valid chord set\n"
+        assert captured.err == ""
 
 
 class TestConstruct:
@@ -141,8 +161,9 @@ class TestConstruct:
                 "structure: ok (2 intervals, sup = 2.5)\nadditivity: FAIL (complement not "
                 "closed under addition: 1 + 1 = 2 lies in the set)",
             ),
+            *_MISREAD_SPECS,
         ],
-        ids=["malformed", "inadmissible"],
+        ids=["malformed", "inadmissible", *_MISREAD_IDS],
     )
     def test_refused_set_reads_the_same_for_every_shape(
         self, tmp_path, capsys, shape, pairs, report

@@ -49,8 +49,12 @@ class TestIntervalSetJson:
     def test_bad_rows(self):
         with pytest.raises(ValueError):
             parse_interval_set({"intervals": [[0, 1, 2]]})
-        with pytest.raises(ValueError, match="list"):
-            parse_interval_set({"intervals": "oops"})
+        for rows in ("oops", {"0": 1}, None):
+            with pytest.raises(ValueError, match=r'^"intervals" must be a list of \[lo, hi\] pairs$'):
+                parse_interval_set({"intervals": rows})
+        for rows in ([[0, True]], [["0", 1]], ["01"]):
+            with pytest.raises(ValueError, match="^interval endpoints must be numbers, got "):
+                parse_interval_set({"intervals": rows})
 
 
 class TestFunctionJson:

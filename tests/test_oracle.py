@@ -1,3 +1,6 @@
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -489,3 +492,127 @@ def test_chord_set_and_scan_match_the_reference(kind, seed):
     assert scan.lengths.tobytes() == lengths.tobytes()
     assert scan.membership.tobytes() == membership.tobytes()
     assert _bits(scan.refined_boundaries) == _bits(brackets)
+
+
+_KINDS = ["random walk", "integer ties", "single piece", "single point", "smooth sawtooth"]
+
+
+@pytest.mark.parametrize("block", [1, 7])
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_KINDS), st.integers(min_value=0, max_value=2**32 - 1))
+def test_chord_set_does_not_depend_on_its_blocks(block, kind, seed):
+    # blocks of 1 and 7 cells cut nearly every run, and a run of several
+    # blocks holds one piece across block boundaries
+    f = _chord_set_input(kind, np.random.default_rng(seed))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle_mod, "_BLOCK_CELLS", block)
+        got = chord_set(f)
+    assert _bits(got.to_pairs()) == _bits(reference_chord_set(f).to_pairs())
+
+
+def _value_ranges(f):
+    ys = np.asarray(f.ys)
+    return np.minimum(ys[:-1], ys[1:]), np.maximum(ys[:-1], ys[1:])
+
+
+def _overlaps(f):
+    """Boolean matrix of the pieces whose value ranges overlap, touching
+    included, by brute force."""
+    vmin, vmax = _value_ranges(f)
+    return (vmin[:, None] <= vmax) & (vmin <= vmax[:, None])
+
+
+def _longest_run(f):
+    """Most pieces that one piece overlaps at or after itself in the
+    stable order of the lowest values."""
+    vmin, _ = _value_ranges(f)
+    idx = np.arange(vmin.size)
+    after = (vmin > vmin[:, None]) | ((vmin == vmin[:, None]) & (idx >= idx[:, None]))
+    return int((after & _overlaps(f)).sum(axis=1).max())
+
+
+def _flat_level(m):
+    # a rise, m flat pieces at one level and a fall: the rise's run holds
+    # every piece
+    return PiecewiseLinearFunction(np.arange(m + 3.0), np.r_[0.0, np.ones(m + 1), 0.0])
+
+
+def _tied_floors(m):
+    # m teeth of three heights on one floor: half the pieces tie at vmin 0
+    ys = np.zeros(2 * m + 1)
+    ys[1::2] = np.arange(m) % 3 + 1.0
+    return PiecewiseLinearFunction(np.cumsum(np.r_[0.0, np.arange(2 * m) % 5 + 1.0]), ys)
+
+
+@pytest.mark.parametrize(
+    "f, block",
+    [
+        (_flat_level(30), 1),
+        (_flat_level(30), 7),
+        (_flat_level(1100), oracle_mod._BLOCK_CELLS),
+        (_tied_floors(25), 1),
+        (_tied_floors(25), 7),
+    ],
+    ids=["flat-level-1", "flat-level-7", "flat-level-default", "tied-floors-1", "tied-floors-7"],
+)
+def test_runs_longer_than_a_block(f, block):
+    assert _longest_run(f) > block
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle_mod, "_BLOCK_CELLS", block)
+        got = chord_set(f)
+        sizes = [ii.size for ii, _ in oracle_mod._cell_blocks(*_value_ranges(f))]
+    assert max(sizes) == block
+    assert _bits(got.to_pairs()) == _bits(reference_chord_set(f).to_pairs())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_KINDS), st.integers(min_value=0, max_value=2**32 - 1))
+def test_cell_blocks_give_each_overlapping_pair_once(kind, seed):
+    f = _chord_set_input(kind, np.random.default_rng(seed))
+    blocks = list(oracle_mod._cell_blocks(*_value_ranges(f)))
+    assert all(0 < ii.size <= oracle_mod._BLOCK_CELLS for ii, _ in blocks)
+    cells = [(i, j) for ii, jj in blocks for i, j in zip(ii.tolist(), jj.tolist())]
+    i, j = np.nonzero(np.triu(_overlaps(f)))
+    assert len(cells) == i.size
+    assert set(cells) == set(zip(i.tolist(), j.tolist()))
+
+
+def test_a_monotone_function_has_linearly_many_cells():
+    # each piece of a strictly increasing function overlaps itself and, at
+    # their shared value, its successor: 2n - 1 cells, not n(n + 1) / 2
+    n = 10**4
+    xs = np.arange(n + 1.0)
+    f = PiecewiseLinearFunction(xs, np.sqrt(xs))
+    assert sum(ii.size for ii, _ in oracle_mod._cell_blocks(*_value_ranges(f))) == 2 * n - 1
+    assert chord_set(f).to_pairs() == [[0.0, 0.0]]
+
+
+def test_chord_set_of_16385_samples_within_budget():
+    """The smooth sawtooth sampled at 16385 points, against a time budget."""
+    budget = 0.1
+    spec = ClosedIntervalSet.from_pairs(SAWTOOTH_PAIRS)
+    f = smooth_chord_function(spec).to_piecewise(16385)
+    t0 = time.perf_counter()
+    s = chord_set(f)
+    dt = time.perf_counter() - t0
+    print(f"chord_set at {f.xs.size} samples of the smooth sawtooth: {dt:.3f}s (budget {budget:.2f}s)")
+    assert len(s.intervals) == len(SAWTOOTH_PAIRS)
+    assert dt < budget
+
+
+def test_chord_set_memory_within_budget():
+    """The sawtooth's Hopf tent sampled at 4097 points, against a budget
+    on the peak of memory traced during one chord_set."""
+    budget = 0.75
+    tent = build_hopf(SAWTOOTH_PAIRS)
+    xs = np.linspace(0.0, tent.x_max, 4097)
+    f = PiecewiseLinearFunction(xs, tent(xs))
+    tracemalloc.start()
+    try:
+        s = chord_set(f)
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    print(f"chord_set at {xs.size} samples of the Hopf tent: peak {peak:.2f} MB (budget {budget:.2f} MB)")
+    assert len(s.intervals) == len(SAWTOOTH_PAIRS)
+    assert peak <= budget
