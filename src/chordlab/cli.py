@@ -8,6 +8,7 @@ argparse keeps its usual exit 2 for malformed invocations.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -15,15 +16,14 @@ from pathlib import Path
 from .builders import build_hopf, smooth_chord_function
 from .intervals import tolerance, validate_chord_spec
 from .io import (
+    _function_obj,
+    _profile_obj,
+    _smooth_samples_obj,
     format_json,
-    function_to_obj,
-    interval_set_to_obj,
     load_json,
     parse_function,
     parse_profile,
-    profile_to_obj,
     save_json,
-    smooth_samples_to_obj,
     svg_for_curves,
     write_chord_scan,
 )
@@ -80,7 +80,7 @@ def _cmd_validate(args) -> int:
 def _cmd_construct(args) -> int:
     spec = _load_spec(args.spec)
     if args.shape == "hopf":
-        _emit(function_to_obj(build_hopf(spec)), args.output)
+        _emit(_function_obj(build_hopf(spec)), args.output)
         return 0
     sf = smooth_chord_function(spec)
     xs, ys = sf.sample(_SMOOTH_SAMPLES)
@@ -89,7 +89,7 @@ def _cmd_construct(args) -> int:
             f"the chord set's sup {sf.x_max:g} is too small to sample at "
             f"{_SMOOTH_SAMPLES} distinct points"
         )
-    _emit(smooth_samples_to_obj(xs, ys), args.output)
+    _emit(_smooth_samples_obj(xs, ys), args.output)
     return 0
 
 
@@ -119,7 +119,7 @@ def _cmd_race_plan(args) -> int:
     profile = build_adversarial_profile(
         args.distance, total_time, args.window, phi_kind=_PHI_KINDS[args.shape]
     )
-    _emit(profile_to_obj(profile), args.output)
+    _emit(_profile_obj(profile), args.output)
     return 0
 
 
@@ -224,8 +224,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` reuses: parsing leaves it as it was, so one
+    per process serves every call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except (ValueError, OSError, RuntimeError, MemoryError) as exc:

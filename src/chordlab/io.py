@@ -15,11 +15,16 @@ pairs with one row per line, indented by four::
       ]
     }
 
-Writers handle a table at once, not one number at a time: the
-``*_to_obj`` functions round whole arrays in numpy (:func:`_round12`),
-and a table of float rows, a CSV file or a polyline is formatted with
-one printf-style call over all its numbers, whatever its size.  Each
-writes the bytes that formatting one number at a time would."""
+Writers handle a table at once, not one number at a time.  Each schema
+is built once, by a private builder that is told how to make its table
+from two columns.  The command line keeps the columns (``_Table``), and
+:func:`format_json` rounds them once with :func:`_round12` over the
+column-stacked array and formats that array with one printf-style call,
+so no row becomes a Python object.  Lists exist only for the public
+``*_to_obj`` functions (:func:`_pairs12`), which round small tables
+number by number and larger ones with the same :func:`_round12`.  A CSV
+file or a polyline is also formatted with one call over all its numbers.
+Each writes the bytes that formatting one number at a time would."""
 
 from __future__ import annotations
 
@@ -27,6 +32,7 @@ import json
 import math
 from itertools import chain
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,14 +84,28 @@ def _round12(a) -> np.ndarray:
     return m
 
 
+def _table12(a, b) -> np.ndarray:
+    """12-digit [a_i, b_i] rows from two equal-length columns, as one
+    (n, 2) array rounded at once."""
+    return _round12(np.column_stack((a, b)))
+
+
 def _pairs12(a, b) -> list[list[float]]:
     """12-digit [a_i, b_i] rows from two equal-length columns: float
     arrays, or lists of Python floats."""
     if 2 * len(a) > _LOOP_MAX:
-        return _round12(np.column_stack((a, b))).tolist()
+        return _table12(a, b).tolist()
     if isinstance(a, np.ndarray):
         a, b = a.tolist(), b.tolist()
     return [[float(f"{x:.12g}"), float(f"{y:.12g}")] for x, y in zip(a, b)]
+
+
+class _Table(NamedTuple):
+    """A table of 12-digit [a_i, b_i] rows, kept as its two columns until
+    :func:`format_json` rounds and writes it as one array."""
+
+    a: np.ndarray
+    b: np.ndarray
 
 
 def interval_set_to_obj(s: ClosedIntervalSet) -> dict:
@@ -99,13 +119,25 @@ def parse_interval_set(obj: dict) -> ClosedIntervalSet:
     return ClosedIntervalSet.from_pairs(obj["intervals"])
 
 
+# ``table`` makes a schema's table from two columns: a _Table for the
+# command line, or the lists of _pairs12 for the public *_to_obj functions.
+
+
+def _function_obj(f: PiecewiseLinearFunction, table=_Table) -> dict:
+    return {"breakpoints": table(f.xs, f.ys)}
+
+
 def function_to_obj(f: PiecewiseLinearFunction) -> dict:
-    return {"breakpoints": _pairs12(f.xs, f.ys)}
+    return _function_obj(f, _pairs12)
+
+
+def _smooth_samples_obj(xs: np.ndarray, ys: np.ndarray, table=_Table) -> dict:
+    xs, ys = np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64)
+    return {"kind": "smooth", "samples": table(xs, ys)}
 
 
 def smooth_samples_to_obj(xs: np.ndarray, ys: np.ndarray) -> dict:
-    xs, ys = np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64)
-    return {"kind": "smooth", "samples": _pairs12(xs, ys)}
+    return _smooth_samples_obj(xs, ys, _pairs12)
 
 
 def parse_function(obj: dict) -> PiecewiseLinearFunction:
@@ -132,13 +164,17 @@ def parse_function(obj: dict) -> PiecewiseLinearFunction:
     return PiecewiseLinearFunction(pts[:, 0], pts[:, 1])
 
 
-def profile_to_obj(profile: RaceProfile) -> dict:
+def _profile_obj(profile: RaceProfile, table=_Table) -> dict:
     pos = profile.position
     return {
         "total_distance": float(f"{profile.total_distance:.12g}"),
         "total_time": float(f"{profile.total_time:.12g}"),
-        "splits": _pairs12(pos.ys[1:], pos.xs[1:]),
+        "splits": table(pos.ys[1:], pos.xs[1:]),
     }
+
+
+def profile_to_obj(profile: RaceProfile) -> dict:
+    return _profile_obj(profile, _pairs12)
 
 
 def parse_profile(obj: dict) -> RaceProfile:
@@ -191,10 +227,28 @@ _SPECS = ("%.12g", "%.1f", "%r")
 _TINY = np.finfo(np.float64).tiny
 
 
+def _rows_text(v: np.ndarray, short) -> str | None:
+    """The rows of the (n, 2) float array ``v`` in the layout of
+    :func:`format_json`, each number written as ``json.dumps`` writes it,
+    with one format call over all of them; None if ``v`` is empty or not
+    finite.  ``short`` marks the values that 12 significant digits
+    represent exactly: True for a table rounded by :func:`_round12`."""
+    if not (v.size and np.isfinite(v).all()):
+        return None
+    kind = np.where(short & (np.abs(v) >= _TINY), 0, 2).ravel()
+    kind[((v == np.trunc(v)) & (np.abs(v) < 1e16)).ravel()] = 1
+    seps = (", ", "],\n    [")
+    specs = [_SPECS[0] + seps[0], _SPECS[0] + seps[1]] * len(v)
+    idx = np.flatnonzero(kind)
+    for i, k in zip(idx.tolist(), kind[idx].tolist()):
+        specs[i] = _SPECS[k] + seps[i % 2]
+    text = "".join(specs) % tuple(v.ravel().tolist())
+    return "[\n    [" + text[: -len(seps[1])] + "]\n  ]"
+
+
 def _float_rows(value) -> str | None:
     """A list of [float, float] rows in the layout of :func:`format_json`,
-    written with one format call over all its numbers; None if ``value``
-    is anything else."""
+    written by :func:`_rows_text`; None if ``value`` is anything else."""
     if not isinstance(value, list):
         return None
     if set(map(type, value)) != {list} or set(map(len, value)) != {2}:
@@ -202,26 +256,23 @@ def _float_rows(value) -> str | None:
     flat = tuple(chain.from_iterable(value))
     if set(map(type, flat)) != {float}:
         return None
-    v = np.fromiter(flat, np.float64, len(flat))
-    if not np.isfinite(v).all():
-        return None
-    kind = np.where((_round12(v) == v) & (np.abs(v) >= _TINY), 0, 2)
-    kind[(v == np.trunc(v)) & (np.abs(v) < 1e16)] = 1
-    seps = (", ", "],\n    [")
-    specs = [_SPECS[0] + seps[0], _SPECS[0] + seps[1]] * len(value)
-    idx = np.flatnonzero(kind)
-    for i, k in zip(idx.tolist(), kind[idx].tolist()):
-        specs[i] = _SPECS[k] + seps[i % 2]
-    text = "".join(specs) % flat
-    return "[\n    [" + text[: -len(seps[1])] + "]\n  ]"
+    v = np.fromiter(flat, np.float64, len(flat)).reshape(-1, 2)
+    return _rows_text(v, _round12(v) == v)
 
 
 def format_json(obj: dict) -> str:
     """JSON text for a top-level object in the layout of this module's
-    docstring, ending in a newline."""
+    docstring, ending in a newline.  A table of a schema builder is
+    rounded to 12 digits and written from its array."""
     lines = []
     for key, value in obj.items():
-        text = _float_rows(value)
+        if isinstance(value, _Table):
+            value = _table12(*value)
+            text = _rows_text(value, True)
+            if text is None:
+                value = value.tolist()
+        else:
+            text = _float_rows(value)
         if text is None:
             text = json.dumps(value)
             if text.startswith("[[") and '"' not in text:

@@ -127,12 +127,23 @@ def _cell_blocks(vmin: np.ndarray, vmax: np.ndarray) -> Iterator[tuple[np.ndarra
 
 def _chord_bounds(f: PiecewiseLinearFunction) -> tuple[np.ndarray, np.ndarray]:
     """Starts and ends of the intervals of :func:`chord_set`, as arrays,
-    united block by block over :func:`_cell_blocks`."""
+    united block by block over :func:`_cell_blocks`.
+
+    Each maximal run of consecutive flat pieces, all at one level, is
+    worked as one piece spanning the run.  With any partner piece, the
+    run's cells give intervals that meet end to end, and the merged cell
+    gives their union with the same floats at its ends, so the set is
+    unchanged bit for bit; a constant function is one cell, not
+    n(n + 1)/2."""
     f._check_spans()
     xs, ys = f.xs, f.ys
+    flat = ys[:-1] == ys[1:]
+    inner = flat[:-1] & flat[1:]  # breakpoints inside a flat run
+    if inner.any():
+        keep = np.concatenate(([True], ~inner, [True]))
+        xs, ys, flat = xs[keep], ys[keep], flat[keep[:-1]]
     x0, x1, y0 = xs[:-1], xs[1:], ys[:-1]
     vmin, vmax = np.minimum(y0, ys[1:]), np.maximum(y0, ys[1:])
-    flat = y0 == ys[1:]
     dy = np.where(flat, 1.0, ys[1:] - y0)
     eps = 4 * np.spacing(max(abs(f.x_min), abs(f.x_max)))
     width = f.width
@@ -172,7 +183,8 @@ def chord_set(f: PiecewiseLinearFunction) -> ClosedIntervalSet:
     in the union are rounding and are closed, since they break additivity.
 
     Cost: O(n log n + cells) for n pieces, where the cells are the pairs
-    whose value ranges overlap.  Sorting the pieces by their lowest value
+    whose value ranges overlap and a run of flat pieces at one level
+    counts as one piece.  Sorting the pieces by their lowest value
     finds each piece's partners as one run of that order, and the cells
     are worked in blocks of at most 2^10, which bounds memory.  On top of
     that each call pays a small fixed part: a few dozen numpy calls and

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import gc
 import io
 import json
 import warnings
@@ -19,7 +20,8 @@ from chordlab import (
     smooth_samples_to_obj,
 )
 from chordlab import cli, oracle
-from chordlab.cli import main, parse_duration
+from chordlab.cli import build_parser, main, parse_duration
+from chordlab.io import format_json
 from _corpus import SAWTOOTH_PAIRS, refuse_huge
 
 
@@ -683,3 +685,118 @@ def test_unknown_command_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+class TestOneParserPerProcess:
+    """main builds its parser once and reuses it; no call leaves a trace
+    in the next."""
+
+    def test_different_subcommands_back_to_back(self, spec_path, miles_path, capsys):
+        assert main(["validate", spec_path]) == 0
+        assert "valid chord set" in capsys.readouterr().out
+        assert main(["race-find-split", miles_path, "--window", "1"]) == 0
+        assert capsys.readouterr().out.startswith("t* = ")
+        assert main(["validate", spec_path]) == 0
+        assert "valid chord set" in capsys.readouterr().out
+
+    def test_a_malformed_call_leaves_the_next_working(self, spec_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["construct", spec_path, "--shape", "cube"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'cube'" in capsys.readouterr().err
+        assert main(["construct", spec_path]) == 0
+        assert json.loads(capsys.readouterr().out) == function_to_obj(build_hopf(SAWTOOTH_PAIRS))
+
+    def test_no_default_leaks_between_calls(self, spec_path, tmp_path, capsys):
+        out = tmp_path / "f.json"
+        assert main(["construct", spec_path, "--output", str(out)]) == 0
+        assert capsys.readouterr().out == f"wrote {out}\n"
+        assert main(["construct", spec_path]) == 0
+        assert capsys.readouterr().out == out.read_text()
+
+    @pytest.mark.parametrize("argv", [["--help"], ["race-plan", "--help"]])
+    def test_help_is_that_of_a_fresh_parser(self, argv, capsys):
+        texts = []
+        for parse in (main, build_parser().parse_args):
+            with pytest.raises(SystemExit) as exc:
+                parse(argv)
+            assert exc.value.code == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1]
+        if argv == ["--help"]:
+            for command in ("validate", "construct", "chords", "race-plan", "race-find-split",
+                            "race-exists-split", "plot"):
+                assert command in texts[0]
+
+
+class TestTablesWrittenFromArrays:
+    """construct and race-plan write their tables from arrays, rounded
+    once; the bytes are those of format_json over the public lists, which
+    round a table of at most 32 rows number by number."""
+
+    @pytest.mark.parametrize(
+        "argv, build, small",
+        [
+            (["construct", [[0, 1], [2, 2]]], lambda: function_to_obj(build_hopf([[0, 1], [2, 2]])), True),
+            (["construct", SAWTOOTH_PAIRS], lambda: function_to_obj(build_hopf(SAWTOOTH_PAIRS)), True),
+            (
+                ["construct", SAWTOOTH_PAIRS, "--shape", "smooth"],
+                lambda: smooth_samples_to_obj(
+                    *smooth_chord_function(ClosedIntervalSet.from_pairs(SAWTOOTH_PAIRS)).sample(1001)
+                ),
+                False,
+            ),
+            (
+                ["race-plan", "--distance", "5", "--time", "1500", "--window", "2"],
+                lambda: profile_to_obj(build_adversarial_profile(5.0, 1500.0, 2.0, "triangle_wave")),
+                True,
+            ),
+            (
+                ["race-plan", "--distance", "3", "--time", "20:00", "--window", "1.25", "--shape", "sin2"],
+                lambda: profile_to_obj(build_adversarial_profile(3.0, 1200.0, 1.25, "sin_squared")),
+                False,
+            ),
+            (
+                ["race-plan", "--distance", "33.6", "--time", "5000", "--window", "1.3"],
+                lambda: profile_to_obj(build_adversarial_profile(33.6, 5000.0, 1.3, "triangle_wave")),
+                False,
+            ),
+        ],
+        ids=["hopf-small", "hopf-sawtooth", "smooth", "triangle-small", "sin2", "triangle"],
+    )
+    def test_bytes_equal_format_json_of_the_lists(self, tmp_path, capsys, argv, build, small):
+        if argv[0] == "construct":
+            spec = tmp_path / "spec.json"
+            spec.write_text(json.dumps({"intervals": argv[1]}))
+            argv = ["construct", str(spec)] + argv[2:]
+        assert main(argv) == 0
+        text = capsys.readouterr().out
+        want = build()
+        assert text == format_json(want)
+        table = next(v for v in want.values() if isinstance(v, list))
+        assert (len(table) <= 32) == small
+        # each table holds integral floats, such as 0.0 or the totals
+        assert any(x.is_integer() for row in table for x in row)
+        if "smooth" in argv:
+            assert "-0.0]" in text
+
+    def test_a_warm_race_plan_collects_garbage_at_most_once(self, capsys):
+        # row lists as Python objects set off about 8 collections per call
+        argv = ["race-plan", "--distance", "33.6", "--time", "5000", "--window", "1.3", "--shape", "sin2"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        counts = []
+
+        def count(phase, info):
+            if phase == "start":
+                counts.append(info["generation"])
+
+        gc.collect()
+        gc.callbacks.append(count)
+        try:
+            assert main(argv) == 0
+        finally:
+            gc.callbacks.remove(count)
+        rows = capsys.readouterr().out.count("\n")
+        print(f"race-plan --shape sin2 ({rows} lines): {len(counts)} collections (at most 1)")
+        assert len(counts) <= 1

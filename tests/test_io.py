@@ -18,7 +18,9 @@ from chordlab import (
     chord_set_scan,
 )
 from chordlab.io import (
+    _pairs12,
     _round12,
+    _Table,
     function_to_obj,
     interval_set_to_obj,
     load_json,
@@ -429,6 +431,7 @@ _table_floats = st.one_of(
     st.integers(min_value=1, max_value=2**52 - 1).map(lambda k: float(f"{k * 5e-324:.12g}")),
 )
 _rows = st.lists(_table_floats, min_size=2, max_size=2)
+_finite_or_not = st.one_of(_table_floats, st.sampled_from([float("nan"), float("inf"), -float("inf")]))
 # short and long tables alike: every table of float rows, the empty one
 # aside, takes the one format call
 _tables = st.one_of(st.lists(_rows, max_size=32), st.lists(_rows, min_size=33, max_size=120))
@@ -440,6 +443,15 @@ class TestBulkWritersMatchPerNumberCode:
     def test_format_json(self, rows, key):
         obj = {"total": 3.0, key: rows, "kind": "smooth"}
         assert format_json(obj) == _oracle_format_json(obj)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(_tables, st.lists(st.lists(_finite_or_not, min_size=2, max_size=2), max_size=40)))
+    def test_tables_written_from_arrays(self, rows):
+        # rounded once as an array and written from it: the bytes of the
+        # public lists, also for an empty or a non-finite table
+        a, b = np.array(rows, dtype=np.float64).reshape(-1, 2).T
+        obj = {"total": 3.0, "splits": _Table(a, b)}
+        assert format_json(obj) == _oracle_format_json({"total": 3.0, "splits": _pairs12(a, b)})
 
     def test_format_json_leaves_other_tables_to_json(self):
         rows = [[float(k), 0.5] for k in range(40)]

@@ -459,6 +459,14 @@ def _chord_set_input(kind, rng):
         n = int(rng.integers(2, 60))
         xs = np.cumsum(rng.integers(1, 4, n)).astype(float)
         return PiecewiseLinearFunction(xs, rng.integers(-2, 3, n).astype(float))
+    if kind == "flat runs":
+        # runs of flat pieces, several at one level, between rises and
+        # falls of one or two steps; a breakpoint may sit at 0
+        n = int(rng.integers(2, 150))
+        steps = rng.integers(-2, 3, n - 1) * (rng.random(n - 1) < rng.uniform(0.05, 0.6))
+        xs = np.cumsum(rng.uniform(0.01, 1.0, n)) * rng.choice([1.0, 1e-3, 1e3])
+        ys = np.cumsum(np.r_[0, steps]) * rng.choice([1.0, 0.1, 1e-5, 3.7, -2.3])
+        return PiecewiseLinearFunction(xs - xs[rng.integers(0, n)] * rng.integers(0, 2), ys)
     if kind == "single piece":
         x0 = rng.normal()
         return PiecewiseLinearFunction([x0, x0 + rng.uniform(0.1, 10.0)], rng.integers(-1, 2, 2))
@@ -474,7 +482,9 @@ def _bits(pairs):
 
 @settings(max_examples=120, deadline=None)
 @given(
-    st.sampled_from(["random walk", "integer ties", "single piece", "single point", "smooth sawtooth"]),
+    st.sampled_from(
+        ["random walk", "integer ties", "flat runs", "single piece", "single point", "smooth sawtooth"]
+    ),
     st.integers(min_value=0, max_value=2**32 - 1),
 )
 # isolated lengths inside the set, where one length both enters and leaves
@@ -494,7 +504,7 @@ def test_chord_set_and_scan_match_the_reference(kind, seed):
     assert _bits(scan.refined_boundaries) == _bits(brackets)
 
 
-_KINDS = ["random walk", "integer ties", "single piece", "single point", "smooth sawtooth"]
+_KINDS = ["random walk", "integer ties", "flat runs", "single piece", "single point", "smooth sawtooth"]
 
 
 @pytest.mark.parametrize("block", [1, 7])
@@ -585,6 +595,39 @@ def test_a_monotone_function_has_linearly_many_cells():
     f = PiecewiseLinearFunction(xs, np.sqrt(xs))
     assert sum(ii.size for ii, _ in oracle_mod._cell_blocks(*_value_ranges(f))) == 2 * n - 1
     assert chord_set(f).to_pairs() == [[0.0, 0.0]]
+
+
+def _count_cells(monkeypatch):
+    """A list that collects the size of every block of cells that
+    chord_set works from here on."""
+    sizes, real = [], oracle_mod._cell_blocks
+
+    def counted(vmin, vmax):
+        for ii, jj in real(vmin, vmax):
+            sizes.append(ii.size)
+            yield ii, jj
+
+    monkeypatch.setattr(oracle_mod, "_cell_blocks", counted)
+    return sizes
+
+
+def test_a_constant_function_is_one_cell(monkeypatch):
+    # its 10^4 flat pieces are one run, worked as one piece
+    n = 10**4
+    f = PiecewiseLinearFunction(np.arange(n + 1.0), np.full(n + 1, 2.5))
+    sizes = _count_cells(monkeypatch)
+    assert chord_set(f).to_pairs() == [[0.0, float(n)]]
+    assert sum(sizes) == 1
+
+
+def test_flat_runs_of_the_smooth_sawtooth_are_merged(monkeypatch):
+    # the samples that underflow to 0 lie in flat runs; merged, they leave
+    # 23608 of the 24823 overlapping pairs of pieces and the same set
+    f = smooth_chord_function(ClosedIntervalSet.from_pairs(SAWTOOTH_PAIRS)).to_piecewise(4097)
+    sizes = _count_cells(monkeypatch)
+    got = chord_set(f)
+    assert sum(sizes) == 23608
+    assert _bits(got.to_pairs()) == _bits(reference_chord_set(f).to_pairs())
 
 
 def test_chord_set_of_16385_samples_within_budget():
