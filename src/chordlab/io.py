@@ -15,16 +15,17 @@ pairs with one row per line, indented by four::
       ]
     }
 
-Writers handle a table at once, not one number at a time.  Each schema
-is built once, by a private builder that is told how to make its table
-from two columns.  The command line keeps the columns (``_Table``), and
-:func:`format_json` rounds them once with :func:`_round12` over the
-column-stacked array and formats that array with one printf-style call,
-so no row becomes a Python object.  Lists exist only for the public
-``*_to_obj`` functions (:func:`_pairs12`), which round small tables
-number by number and larger ones with the same :func:`_round12`.  A CSV
-file or a polyline is also formatted with one call over all its numbers.
-Each writes the bytes that formatting one number at a time would."""
+Each schema is built once, by a private builder that is told how to
+make its table from two columns, and :func:`format_json` has two paths.
+The command line keeps the columns (``_Table``), which it rounds once
+with :func:`_round12` over the column-stacked array and formats with one
+printf-style call, so no row becomes a Python object.  Every other
+value goes through ``json.dumps``, the lists of the public ``*_to_obj``
+functions among them (:func:`_pairs12` rounds small tables number by
+number and larger ones with the same :func:`_round12`), and a table
+comes out with the same bytes on either path.  A CSV file or a polyline
+is formatted with one call over all its numbers, with the bytes that
+formatting one number at a time would give."""
 
 from __future__ import annotations
 
@@ -36,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .intervals import ClosedIntervalSet
+from .intervals import _NOT_NUMBERS, ClosedIntervalSet
 from .oracle import ChordScan
 from .piecewise import PiecewiseLinearFunction
 from .race import RaceProfile
@@ -140,6 +141,22 @@ def smooth_samples_to_obj(xs: np.ndarray, ys: np.ndarray) -> dict:
     return _smooth_samples_obj(xs, ys, _pairs12)
 
 
+def _check_numbers(key: str, values) -> None:
+    """Refuse a boolean or a string in ``values``, a list of rows of
+    numbers or a list of numbers, with a ValueError naming ``key``: float()
+    and numpy would read either as a number.  Rows that are not iterable
+    are left to the caller's parser."""
+    try:
+        types = set(map(type, chain.from_iterable(values)))
+    except TypeError:  # numbers, not rows
+        types = set(map(type, values))
+    if any(issubclass(t, _NOT_NUMBERS) for t in types):
+        # a string is shown whole, not as the characters that were its items
+        flat = chain(values, chain.from_iterable(values))
+        bad = next(v for v in flat if isinstance(v, _NOT_NUMBERS))
+        raise ValueError(f'"{key}" must hold numbers, got {bad!r}')
+
+
 def parse_function(obj: dict) -> PiecewiseLinearFunction:
     """Read a function object: exact breakpoints, or sampled values of a
     smooth function (which become an approximating polyline)."""
@@ -155,6 +172,7 @@ def parse_function(obj: dict) -> PiecewiseLinearFunction:
         raise ValueError('function object must contain "breakpoints" or "samples"')
     if not isinstance(rows, list) or not rows:
         raise ValueError(f'"{key}" must be a nonempty list of [x, y] pairs')
+    _check_numbers(key, rows)
     try:
         pts = np.asarray(rows, dtype=np.float64)
     except (TypeError, ValueError) as exc:
@@ -183,6 +201,8 @@ def parse_profile(obj: dict) -> RaceProfile:
     for key in ("total_distance", "total_time", "splits"):
         if key not in obj:
             raise ValueError(f'profile object must contain key "{key}"')
+    _check_numbers("total_distance", [obj["total_distance"]])
+    _check_numbers("total_time", [obj["total_time"]])
     try:
         L = float(obj["total_distance"])
         T = float(obj["total_time"])
@@ -191,6 +211,7 @@ def parse_profile(obj: dict) -> RaceProfile:
     splits = obj["splits"]
     if not isinstance(splits, list):
         raise ValueError('"splits" must be a list of [distance, time] pairs')
+    _check_numbers("splits", splits)
     return RaceProfile.from_splits(L, T, splits)
 
 
@@ -205,9 +226,11 @@ def _json_int(text: str) -> int:
 def load_json(path) -> dict:
     path = Path(path)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path} is not UTF-8 text") from exc
     try:
         return json.loads(text, parse_int=_json_int)
     except json.JSONDecodeError as exc:
@@ -227,15 +250,14 @@ _SPECS = ("%.12g", "%.1f", "%r")
 _TINY = np.finfo(np.float64).tiny
 
 
-def _rows_text(v: np.ndarray, short) -> str | None:
-    """The rows of the (n, 2) float array ``v`` in the layout of
-    :func:`format_json`, each number written as ``json.dumps`` writes it,
-    with one format call over all of them; None if ``v`` is empty or not
-    finite.  ``short`` marks the values that 12 significant digits
-    represent exactly: True for a table rounded by :func:`_round12`."""
+def _rows_text(v: np.ndarray) -> str | None:
+    """The rows of the (n, 2) float array ``v``, rounded by
+    :func:`_round12`, in the layout of :func:`format_json`, each number
+    written as ``json.dumps`` writes it, with one format call over all of
+    them; None if ``v`` is empty or not finite."""
     if not (v.size and np.isfinite(v).all()):
         return None
-    kind = np.where(short & (np.abs(v) >= _TINY), 0, 2).ravel()
+    kind = np.where(np.abs(v) >= _TINY, 0, 2).ravel()
     kind[((v == np.trunc(v)) & (np.abs(v) < 1e16)).ravel()] = 1
     seps = (", ", "],\n    [")
     specs = [_SPECS[0] + seps[0], _SPECS[0] + seps[1]] * len(v)
@@ -246,37 +268,20 @@ def _rows_text(v: np.ndarray, short) -> str | None:
     return "[\n    [" + text[: -len(seps[1])] + "]\n  ]"
 
 
-def _float_rows(value) -> str | None:
-    """A list of [float, float] rows in the layout of :func:`format_json`,
-    written by :func:`_rows_text`; None if ``value`` is anything else."""
-    if not isinstance(value, list):
-        return None
-    if set(map(type, value)) != {list} or set(map(len, value)) != {2}:
-        return None
-    flat = tuple(chain.from_iterable(value))
-    if set(map(type, flat)) != {float}:
-        return None
-    v = np.fromiter(flat, np.float64, len(flat)).reshape(-1, 2)
-    return _rows_text(v, _round12(v) == v)
-
-
 def format_json(obj: dict) -> str:
     """JSON text for a top-level object in the layout of this module's
     docstring, ending in a newline.  A table of a schema builder is
-    rounded to 12 digits and written from its array."""
+    rounded to 12 digits and written from its array; every other value,
+    the public lists included, by ``json.dumps``."""
     lines = []
     for key, value in obj.items():
         if isinstance(value, _Table):
             value = _table12(*value)
-            text = _rows_text(value, True)
-            if text is None:
-                value = value.tolist()
+            text = _rows_text(value) or json.dumps(value.tolist())
         else:
-            text = _float_rows(value)
-        if text is None:
             text = json.dumps(value)
-            if text.startswith("[[") and '"' not in text:
-                text = "[\n    " + text[1:-1].replace("], [", "],\n    [") + "\n  ]"
+        if text.startswith("[[") and '"' not in text:
+            text = "[\n    " + text[1:-1].replace("], [", "],\n    [") + "\n  ]"
         lines.append(f"  {json.dumps(key)}: {text}")
     return "{\n" + ",\n".join(lines) + "\n}\n"
 

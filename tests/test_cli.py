@@ -454,6 +454,45 @@ def test_integer_past_the_largest_float_exits_1(
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.json"]
 
 
+_PROFILE = '{{"total_distance": {}, "total_time": {}, "splits": [[1, 2], [{}, 10]]}}'
+
+
+@pytest.mark.parametrize(
+    "command, extra, text, err",
+    [
+        ("race-exists-split", ["--window", "0.3"], _PROFILE.format("true", 10, 3),
+         '"total_distance" must hold numbers, got True'),
+        ("race-find-split", ["--window", "1"], _PROFILE.format(3, '"10"', 3),
+         '"total_time" must hold numbers, got \'10\''),
+        ("plot", ["--output", "p.svg"], _PROFILE.format(3, 10, '"3"'),
+         '"splits" must hold numbers, got \'3\''),
+        ("chords", ["--output", "s.csv"], '{"breakpoints": [[0, 0], ["1", true], [2, false]]}',
+         '"breakpoints" must hold numbers, got \'1\''),
+        ("plot", ["--output", "f.svg"], '{"kind": "smooth", "samples": [[0, 0], [1, false]]}',
+         '"samples" must hold numbers, got False'),
+    ],
+    ids=["boolean-total", "string-total", "string-split", "string-breakpoint", "boolean-sample"],
+)
+def test_boolean_or_string_number_exits_1(tmp_path, capsys, monkeypatch, command, extra, text, err):
+    # float() and numpy read them as numbers; the files hold JSON numbers only
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "in.json").write_text(text)
+    assert main([command, "in.json"] + extra) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {err}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.json"]
+
+
+def test_file_not_utf8_exits_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "in.json").write_bytes(b"\xff\xfe{}")
+    assert main(["validate", "in.json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: in.json is not UTF-8 text\n"
+
+
 class TestRaceCommands:
     def test_find_split_golden_line(self, miles_path, capsys):
         assert main(["race-find-split", miles_path, "--window", "1.0"]) == 0

@@ -93,6 +93,15 @@ class TestFunctionJson:
         with pytest.raises(ValueError, match="JSON object"):
             parse_function([1, 2])
 
+    @pytest.mark.parametrize("key", ["breakpoints", "samples"])
+    def test_booleans_and_strings_refused(self, key):
+        for rows, shown in (([[0, 0], [1, True]], "True"), ([[0, 0], ["1", 2]], "'1'"),
+                            ([[0, 0], "12"], "'12'")):
+            with pytest.raises(ValueError, match=rf'^"{key}" must hold numbers, got {shown}$'):
+                parse_function({key: rows})
+        f = parse_function({key: [[0, 0], [1, 2]]})  # JSON integers are numbers
+        np.testing.assert_array_equal(f.ys, [0.0, 2.0])
+
 
 class TestProfileJson:
     def test_round_trip_exact(self):
@@ -111,6 +120,20 @@ class TestProfileJson:
     def test_bad_totals(self):
         with pytest.raises(ValueError, match="numbers"):
             parse_profile({"total_distance": "x", "total_time": 1.0, "splits": []})
+
+    def test_booleans_and_strings_refused(self):
+        good = {"total_distance": 3, "total_time": 1080, "splits": [[1, 330], [3, 1080]]}
+        for key, value, shown in (
+            ("total_distance", True, "True"),
+            ("total_time", "1080", "'1080'"),
+            ("splits", [[1, 330], [True, "1080"]], "True"),
+            ("splits", [["1", 330], [3, 1080]], "'1'"),
+            ("splits", ["13", [3, 1080]], "'13'"),
+        ):
+            with pytest.raises(ValueError, match=rf'^"{key}" must hold numbers, got {shown}$'):
+                parse_profile({**good, key: value})
+        p = parse_profile(good)  # JSON integers are numbers
+        np.testing.assert_array_equal(p.position.ys, [0.0, 1.0, 3.0])
 
 
 def _layout_objects():
@@ -209,6 +232,13 @@ class TestJsonFiles:
         path.write_text("{nope")
         with pytest.raises(ValueError, match="not valid JSON"):
             load_json(path)
+
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(ValueError) as info:
+            load_json(path)
+        assert str(info.value) == f"{path} is not UTF-8 text"
 
 
 class TestChordScanCsv:
