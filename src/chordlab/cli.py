@@ -37,19 +37,19 @@ _SMOOTH_SAMPLES = 1001  # construct --shape smooth: spacing sup/1000
 def parse_duration(text: str) -> float:
     """Seconds from 'SS', 'MM:SS', or 'H:MM:SS' (fractions allowed)."""
     parts = text.strip().split(":")
-    if not (1 <= len(parts) <= 3) or any(p == "" for p in parts):
-        raise ValueError(f"cannot parse duration {text!r}; use seconds, MM:SS, or H:MM:SS")
-    total = 0.0
+    # more than three parts, or one that float() cannot read, make the total NaN
+    total = 0.0 if len(parts) <= 3 else math.nan
     for part in parts:
         try:
             value = float(part)
         except ValueError:
-            raise ValueError(
-                f"cannot parse duration {text!r}; use seconds, MM:SS, or H:MM:SS"
-            ) from None
+            value = math.nan
+        total = total * 60.0 + value
+        # float() also reads "nan", "inf" and "1e400", and the total can overflow
+        if not math.isfinite(total):
+            raise ValueError(f"cannot parse duration {text!r}; use seconds, MM:SS, or H:MM:SS")
         if value < 0:
             raise ValueError(f"duration components must be nonnegative in {text!r}")
-        total = total * 60.0 + value
     if total <= 0:
         raise ValueError(f"duration must be positive, got {text!r}")
     return total

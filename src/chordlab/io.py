@@ -37,9 +37,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .intervals import _NOT_NUMBERS, ClosedIntervalSet
+from .intervals import ClosedIntervalSet
 from .oracle import ChordScan
-from .piecewise import PiecewiseLinearFunction
+from .piecewise import PiecewiseLinearFunction, _number_pairs, _refuse_non_number
 from .race import RaceProfile
 
 
@@ -141,25 +141,11 @@ def smooth_samples_to_obj(xs: np.ndarray, ys: np.ndarray) -> dict:
     return _smooth_samples_obj(xs, ys, _pairs12)
 
 
-def _check_numbers(key: str, values) -> None:
-    """Refuse a boolean or a string in ``values``, a list of rows of
-    numbers or a list of numbers, with a ValueError naming ``key``: float()
-    and numpy would read either as a number.  Rows that are not iterable
-    are left to the caller's parser."""
-    try:
-        types = set(map(type, chain.from_iterable(values)))
-    except TypeError:  # numbers, not rows
-        types = set(map(type, values))
-    if any(issubclass(t, _NOT_NUMBERS) for t in types):
-        # a string is shown whole, not as the characters that were its items
-        flat = chain(values, chain.from_iterable(values))
-        bad = next(v for v in flat if isinstance(v, _NOT_NUMBERS))
-        raise ValueError(f'"{key}" must hold numbers, got {bad!r}')
-
-
 def parse_function(obj: dict) -> PiecewiseLinearFunction:
     """Read a function object: exact breakpoints, or sampled values of a
-    smooth function (which become an approximating polyline)."""
+    smooth function (which become an approximating polyline).  A boolean,
+    string or bytes where a number belongs is refused, naming the key;
+    JSON integers are numbers."""
     if not isinstance(obj, dict):
         raise ValueError("function object must be a JSON object")
     if "breakpoints" in obj:
@@ -172,14 +158,8 @@ def parse_function(obj: dict) -> PiecewiseLinearFunction:
         raise ValueError('function object must contain "breakpoints" or "samples"')
     if not isinstance(rows, list) or not rows:
         raise ValueError(f'"{key}" must be a nonempty list of [x, y] pairs')
-    _check_numbers(key, rows)
-    try:
-        pts = np.asarray(rows, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f'could not parse "{key}": {exc}') from exc
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError(f'"{key}" must be a list of [x, y] pairs')
-    return PiecewiseLinearFunction(pts[:, 0], pts[:, 1])
+    pts = _number_pairs(rows, key, '"{key}" must be a list of [x, y] pairs')
+    return PiecewiseLinearFunction._from_owned(pts[:, 0].copy(), pts[:, 1].copy())
 
 
 def _profile_obj(profile: RaceProfile, table=_Table) -> dict:
@@ -196,13 +176,16 @@ def profile_to_obj(profile: RaceProfile) -> dict:
 
 
 def parse_profile(obj: dict) -> RaceProfile:
+    """Read a profile object through :meth:`RaceProfile.from_splits`.  A
+    boolean, string or bytes where a number belongs, in the totals or the
+    splits, is refused, naming the key; JSON integers are numbers."""
     if not isinstance(obj, dict):
         raise ValueError("profile object must be a JSON object")
     for key in ("total_distance", "total_time", "splits"):
         if key not in obj:
             raise ValueError(f'profile object must contain key "{key}"')
-    _check_numbers("total_distance", [obj["total_distance"]])
-    _check_numbers("total_time", [obj["total_time"]])
+    _refuse_non_number("total_distance", obj["total_distance"])
+    _refuse_non_number("total_time", obj["total_time"])
     try:
         L = float(obj["total_distance"])
         T = float(obj["total_time"])
@@ -211,7 +194,6 @@ def parse_profile(obj: dict) -> RaceProfile:
     splits = obj["splits"]
     if not isinstance(splits, list):
         raise ValueError('"splits" must be a list of [distance, time] pairs')
-    _check_numbers("splits", splits)
     return RaceProfile.from_splits(L, T, splits)
 
 

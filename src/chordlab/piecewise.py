@@ -10,11 +10,14 @@ existence into a finite question about vertex values and sign changes.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import chain
+from numbers import Real
 
 import numpy as np
 
-from .intervals import tolerance
+from .intervals import _NOT_NUMBERS, tolerance
 
 _FIRST_BLOCK = 1024  # breakpoints of f in the first block of a shift difference
 
@@ -77,10 +80,13 @@ class PiecewiseLinearFunction:
 
     @classmethod
     def from_breakpoints(cls, points) -> "PiecewiseLinearFunction":
-        pts = np.asarray(points, dtype=np.float64)
-        if pts.ndim != 2 or pts.shape[1] != 2:
-            raise ValueError("breakpoints must be an (n, 2) array of [x, y] rows")
-        return cls(pts[:, 0], pts[:, 1])
+        """The function through the [x, y] rows of ``points``: a boolean,
+        string or bytes where a number belongs is refused, and integers
+        are numbers."""
+        pts = _number_pairs(
+            points, "breakpoints", "breakpoints must be an (n, 2) array of [x, y] rows"
+        )
+        return cls._from_owned(pts[:, 0].copy(), pts[:, 1].copy())
 
     @property
     def x_min(self) -> float:
@@ -219,6 +225,44 @@ class PiecewiseLinearFunction:
             if last:
                 return
             i0, j0, size = i1, j1, 2 * size
+
+
+def _refuse_non_number(key: str, value) -> None:
+    if isinstance(value, _NOT_NUMBERS):  # float() and numpy read them as numbers
+        raise ValueError(f'"{key}" must hold numbers, got {value!r}')
+
+
+def _number_pairs(rows, key: str, malformed: str) -> np.ndarray:
+    """The [a, b] rows of ``rows`` as an (n, 2) float64 array, possibly
+    ``rows`` itself: the rows' lengths and the values' types (and the rows'
+    types, unless every value is a float) are read as sets, and the values
+    by one np.array, with no Python loop.
+    Only if that fails are the rows read one by one: the first that is not
+    a pair of real numbers is refused by :func:`_refuse_non_number`, or
+    else with ``malformed`` formatted with ``key`` and that ``row``."""
+    if isinstance(rows, np.ndarray) and rows.dtype.kind in "iuf" and rows.shape[1:] == (2,):
+        return rows.astype(np.float64, copy=False)
+    rows = rows if isinstance(rows, (list, tuple)) else list(rows)
+    try:
+        if set(map(len, rows)) <= {2}:
+            values = list(chain.from_iterable(rows))
+            types = set(map(type, values))
+            # floats and ints, all that JSON gives, are tested first; a bytes
+            # row reads as ints, so the rows are typed only if not all floats
+            if types <= {float} or (
+                (types <= {float, int} or all(issubclass(t, Real) and t is not bool for t in types))
+                and not any(issubclass(t, _NOT_NUMBERS) for t in set(map(type, rows)))
+            ):
+                return np.array(values, dtype=np.float64).reshape(-1, 2)
+    except TypeError:  # a row without a length
+        pass
+    for row in rows:
+        values = list(row) if isinstance(row, Iterable) else []
+        for value in [row, *values]:
+            _refuse_non_number(key, value)
+        if len(values) != 2 or not all(isinstance(v, Real) for v in values):
+            raise ValueError(malformed.format(key=key, row=row))
+    raise ValueError(malformed.format(key=key, row=rows))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ import numpy as np
 from .builders import SmoothFunction, SmoothShapeSpec, build_levy
 from .intervals import tolerance, whole_ratio
 from .oracle import ChordQueryResult, has_horizontal_chord
-from .piecewise import PiecewiseLinearFunction
+from .piecewise import PiecewiseLinearFunction, _number_pairs
 
 
 @dataclass(frozen=True)
@@ -84,37 +84,30 @@ class RaceProfile:
         """Build a profile from cumulative (distance, time) checkpoints.
 
         The final checkpoint must equal (total_distance, total_time); a
-        leading (0, 0) checkpoint may be included or omitted.
+        leading (0, 0) checkpoint may be included or omitted.  A boolean,
+        string or bytes where a number belongs is refused; integers are
+        numbers.
         """
         L = float(total_distance)
         T = float(total_time)
-        ts = [0.0]
-        ds = [0.0]
-        for item in splits:
-            try:
-                pair = tuple(item)
-                d, t = float(pair[0]), float(pair[1])
-            except (TypeError, ValueError, IndexError):
-                pair = ()
-            if len(pair) != 2:
-                raise ValueError(
-                    f"each split must be a (distance, time) pair of numbers, got {item!r}"
-                )
-            if len(ts) == 1 and abs(d) <= tolerance(L) and abs(t) <= tolerance(T):
-                continue
-            ts.append(t)
-            ds.append(d)
-        if len(ts) < 2:
+        pts = _number_pairs(
+            splits, "splits", "each split must be a (distance, time) pair of numbers, got {row!r}"
+        )
+        if len(pts) and abs(pts[0, 0]) <= tolerance(L) and abs(pts[0, 1]) <= tolerance(T):
+            pts = pts[1:]
+        if not len(pts):
             raise ValueError("need at least one split beyond the start")
-        if abs(ds[-1] - L) > tolerance(L) or abs(ts[-1] - T) > tolerance(T):
+        d, t = pts[-1]
+        if abs(d - L) > tolerance(L) or abs(t - T) > tolerance(T):
             raise ValueError(
-                f"final split ({ds[-1]:g}, {ts[-1]:g}) must reach the full "
-                f"distance {L:g} and time {T:g}"
+                f"final split ({d:g}, {t:g}) must reach the full distance {L:g} and time {T:g}"
             )
-        ts[-1] = T
-        ds[-1] = L
+        # times and distances, from the start (0, 0)
+        ts_ds = np.zeros((2, len(pts) + 1))
+        ts_ds[:, 1:] = pts.T[::-1]
+        ts_ds[:, -1] = T, L
         try:
-            pos = PiecewiseLinearFunction(np.array(ts), np.array(ds))
+            pos = PiecewiseLinearFunction._from_owned(*ts_ds)
         except ValueError as exc:
             raise ValueError(f"invalid splits: {exc}") from exc
         return cls(L, T, pos)

@@ -60,6 +60,21 @@ class TestParseDuration:
             with pytest.raises(ValueError):
                 parse_duration(bad)
 
+    @pytest.mark.parametrize("text", ["nan", "inf", "1e400", "10:nan", "-inf", "1e307:0"])
+    def test_rejects_non_finite(self, text):
+        # float() reads these, and the last overflows once its minutes become seconds
+        with pytest.raises(ValueError, match=rf"^cannot parse duration '{text}'; use seconds"):
+            parse_duration(text)
+
+    def test_non_finite_time_exits_1(self, capsys):
+        argv = ["race-plan", "--distance", "10", "--time", "nan", "--window", "3"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: cannot parse duration 'nan'; use seconds, MM:SS, or H:MM:SS\n"
+        )
+
 
 # "intervals" values that float() or iteration would misread as a set:
 # the characters of a string, the keys of an object, true as 1

@@ -135,6 +135,13 @@ class TestProfileJson:
         p = parse_profile(good)  # JSON integers are numbers
         np.testing.assert_array_equal(p.position.ys, [0.0, 1.0, 3.0])
 
+    def test_bytes_row_refused(self):
+        # not JSON, but a library caller's row; float() and numpy read it as
+        # its character codes
+        obj = {"total_distance": 50, "total_time": 100, "splits": [b"12", [50, 100]]}
+        with pytest.raises(ValueError, match=r'^"splits" must hold numbers, got b\'12\'$'):
+            parse_profile(obj)
+
 
 def _layout_objects():
     f = build_hopf(SAWTOOTH_PAIRS)
@@ -572,3 +579,20 @@ def test_writers_at_scale_within_budget(tmp_path):
         dt = time.perf_counter() - t0
         print(f"{name} with {n} rows: {dt:.3f}s (budget {budget:.2f}s)")
         assert dt < budget
+
+
+def test_parse_profile_at_scale_within_budget():
+    """parse_profile of a 10^5-split JSON profile, against a budget."""
+    n, budget = 100_000, 0.5
+    rng = np.random.default_rng(9)
+    ts = np.cumsum(rng.uniform(150.0, 400.0, n))
+    ds = np.cumsum(rng.uniform(0.5, 1.5, n))
+    splits = np.column_stack((ds, ts)).tolist()
+    obj = {"total_distance": splits[-1][0], "total_time": splits[-1][1], "splits": splits}
+    t0 = time.perf_counter()
+    p = parse_profile(obj)
+    dt = time.perf_counter() - t0
+    print(f"parse_profile with {n} rows: {dt:.3f}s (budget {budget:.2f}s)")
+    assert p.position.xs.tobytes() == np.concatenate(([0.0], ts)).tobytes()
+    assert p.position.ys.tobytes() == np.concatenate(([0.0], ds)).tobytes()
+    assert dt < budget

@@ -45,6 +45,15 @@ def test_from_breakpoints():
         PiecewiseLinearFunction.from_breakpoints([0, 1, 2])
 
 
+@pytest.mark.parametrize(
+    "points, shown",
+    [([[0, True], ["1", "2"], [2, 0]], "True"), ([[0, 0], ["1", 2]], "'1'"), ([[0, 0], "12"], "'12'")],
+)
+def test_from_breakpoints_refuses_booleans_and_strings(points, shown):
+    with pytest.raises(ValueError, match=rf'^"breakpoints" must hold numbers, got {shown}$'):
+        PiecewiseLinearFunction.from_breakpoints(points)
+
+
 def test_scaled():
     g = tent().scaled(-2.0)
     assert g(1.0) == -2.0

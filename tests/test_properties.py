@@ -1,7 +1,8 @@
 """Properties tying the exact chord set to the other layers: point
 queries, the Hopf construction, the additivity of the complement, the
 sign-change bound and JSON round trips; the validator's verdict to
-additivity alone; and every answer to the units of its input."""
+additivity alone; every answer to the units of its input; and a
+profile to the shape its splits come in."""
 
 import json
 
@@ -21,6 +22,7 @@ from chordlab import (
     is_additive,
     levit_bound,
     parse_function,
+    parse_profile,
     smooth_samples_to_obj,
     tolerance,
     validate_chord_spec,
@@ -180,3 +182,26 @@ def test_average_split_is_unit_free(seed, a, b):
         assert got.s == want.s * 2.0**b
         if want.exists:
             assert got.witness_x == want.witness_x * 2.0**b
+
+
+@settings(max_examples=50, deadline=None)
+@given(seeds)
+def test_splits_read_alike_in_every_shape(seed):
+    rng = np.random.default_rng(seed)
+    p = random_integer_ratio_profile(rng)[0] if seed % 2 else random_bounded_profile(rng)
+    L, T, splits = p.total_distance, p.total_time, p.splits()
+    rows = [list(r) for r in splits]
+    shapes = [
+        splits,
+        np.array(splits),
+        (r for r in splits),
+        [[0, 0]] + rows,
+        [(0.0, 0.0)] + splits,
+        np.array([(0.0, 0.0)] + splits),
+    ]
+    want = RaceProfile.from_splits(L, T, rows).position
+    got = [RaceProfile.from_splits(L, T, shape).position for shape in shapes]
+    got.append(parse_profile({"total_distance": L, "total_time": T, "splits": rows}).position)
+    for pos in got:
+        assert pos.xs.tobytes() == want.xs.tobytes()
+        assert pos.ys.tobytes() == want.ys.tobytes()

@@ -96,6 +96,20 @@ class TestRaceProfile:
         with pytest.raises(ValueError, match="final split"):
             RaceProfile.from_splits(3.0, 1080.0, [(1.0, 330.0), (2.9, 1080.0)])
 
+    @pytest.mark.parametrize(
+        "splits, shown",
+        [
+            ([["1", True], ["3", 10]], "'1'"),
+            ([[1, True], [3, 10]], "True"),
+            ([[1, 2], b"12", [3, 10]], "b'12'"),
+            ([[1, 2], "12", [3, 10]], "'12'"),
+        ],
+    )
+    def test_refuses_booleans_strings_and_bytes(self, splits, shown):
+        # float() reads each of them as a number, and a bytes row as its codes
+        with pytest.raises(ValueError, match=rf'^"splits" must hold numbers, got {shown}$'):
+            RaceProfile.from_splits(3, 10, splits)
+
     def test_rejects_unsorted_times(self):
         with pytest.raises(ValueError, match="invalid splits"):
             RaceProfile.from_splits(3.0, 1080.0, [(1.0, 700.0), (2.0, 500.0), (3.0, 1080.0)])
