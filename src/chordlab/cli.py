@@ -27,7 +27,7 @@ from .io import (
     svg_for_curves,
     write_chord_scan,
 )
-from .oracle import _scan_with_set
+from .oracle import _scan_bounds
 from .race import build_adversarial_profile, exists_average_split, find_average_split
 
 _PHI_KINDS = {"triangle": "triangle_wave", "sin2": "sin_squared"}
@@ -103,10 +103,10 @@ def _cmd_chords(args) -> int:
         raise ValueError(
             f"the function's width {w:g} is too small to scan at 501 evenly spaced lengths"
         )
-    scan, exact = _scan_with_set(f, step)
+    scan, los, his = _scan_bounds(f, step)
     main_path, bpath = write_chord_scan(scan, args.output)
     member = int(scan.membership.sum())
-    pairs = ", ".join(f"[{iv.lo:.6g}, {iv.hi:.6g}]" for iv in exact.intervals)
+    pairs = ", ".join(f"[{lo:.6g}, {hi:.6g}]" for lo, hi in zip(los.tolist(), his.tolist()))
     print(
         f"scanned {scan.lengths.size} lengths, {member} in the chord set {pairs}; "
         f"wrote {main_path} and {bpath}"

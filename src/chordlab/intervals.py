@@ -141,14 +141,27 @@ class ClosedIntervalSet:
                     f"intervals [{prev.lo:g}, {prev.hi:g}] and [{cur.lo:g}, {cur.hi:g}] overlap"
                 )
             raise ValidationError(f"intervals touch at {cur.lo:g}; merge them into one interval")
-        slack = tolerance(his[-1])
-        if los[0] > slack:
+        if los[0] > tolerance(his[-1]):
             raise ValidationError(f"the first interval must start at 0, got lo = {los[0]:g}")
         if los[0] != 0.0:
             converted[0] = Interval(0.0, his[0])
             los[0] = 0.0
-        object.__setattr__(self, "intervals", tuple(converted))
-        object.__setattr__(self, "_slack", slack)
+        self._index(tuple(converted), los, his)
+
+    @classmethod
+    def _from_bounds(cls, los: list[float], his: list[float]) -> "ClosedIntervalSet":
+        """The set of the intervals [los[k], his[k]] without the set's
+        shape checks: the caller guarantees that they are sorted, never
+        touch and start at 0.0, as a chord set's join does.  Each
+        :class:`Interval` still checks its own endpoints."""
+        s = cls.__new__(cls)
+        s._index(tuple(map(Interval, los, his)), los, his)
+        return s
+
+    def _index(self, intervals: tuple[Interval, ...], los: list[float], his: list[float]) -> None:
+        # the intervals, and what locate and is_additive read from them
+        object.__setattr__(self, "intervals", intervals)
+        object.__setattr__(self, "_slack", tolerance(his[-1]))
         boundary, signs = [], []
         for lo, hi in zip(los, his):
             boundary.append(lo)

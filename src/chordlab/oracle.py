@@ -138,13 +138,17 @@ def _chord_bounds(f: PiecewiseLinearFunction) -> tuple[np.ndarray, np.ndarray]:
     f._check_spans()
     xs, ys = f.xs, f.ys
     flat = ys[:-1] == ys[1:]
-    inner = flat[:-1] & flat[1:]  # breakpoints inside a flat run
-    if inner.any():
-        keep = np.concatenate(([True], ~inner, [True]))
-        xs, ys, flat = xs[keep], ys[keep], flat[keep[:-1]]
+    any_flat = flat.any()
+    if any_flat:
+        inner = flat[:-1] & flat[1:]  # breakpoints inside a flat run
+        if inner.any():
+            keep = np.concatenate(([True], ~inner, [True]))
+            xs, ys, flat = xs[keep], ys[keep], flat[keep[:-1]]
     x0, x1, y0 = xs[:-1], xs[1:], ys[:-1]
     vmin, vmax = np.minimum(y0, ys[1:]), np.maximum(y0, ys[1:])
-    dy = np.where(flat, 1.0, ys[1:] - y0)
+    dy = ys[1:] - y0
+    if any_flat:
+        dy[flat] = 1.0
     eps = 4 * np.spacing(max(abs(f.x_min), abs(f.x_max)))
     width = f.width
 
@@ -157,19 +161,31 @@ def _chord_bounds(f: PiecewiseLinearFunction) -> tuple[np.ndarray, np.ndarray]:
         x = 1.0 - t
         x *= x0[k]
         x += t * right
-        return x, np.where(flat[k], right, x)
+        return x, np.where(flat[k], right, x) if any_flat else x
 
-    parts = [(np.zeros(1), np.zeros(1))]
+    def clamp(s: np.ndarray) -> np.ndarray:
+        # np.clip(s, 0.0, width) in place, bit for bit: the lower bound
+        # first, as clip applies it
+        np.maximum(0.0, s, out=s)
+        return np.minimum(s, width, out=s)
+
+    parts = []
     for ii, jj in _cell_blocks(vmin, vmax):
         v = np.empty((2, ii.size))
         np.maximum(vmin[ii], vmin[jj], out=v[0])
         np.minimum(vmax[ii], vmax[jj], out=v[1])
         (xl, xr), (yl, yr) = ends(ii, v), ends(jj, v)
         yl -= xr
-        yr -= xl
-        lo = np.clip(np.minimum(yl[0], yl[1]), 0.0, width)
-        hi = np.clip(np.maximum(yr[0], yr[1]), 0.0, width)
+        if any_flat:  # else yr is yl and xl is xr
+            yr -= xl
+        lo = clamp(np.minimum(yl[0], yl[1]))
+        hi = clamp(np.maximum(yr[0], yr[1]))
         parts.append(_union(lo, hi, eps))
+    # Each piece's own cell puts 0 in the set, so the union of a single
+    # block is the whole set.  A single point has no cells, only {0}.
+    if len(parts) == 1:
+        return parts[0]
+    parts.append((np.zeros(1), np.zeros(1)))
     return _union(*map(np.concatenate, zip(*parts)), eps)
 
 
@@ -187,13 +203,11 @@ def chord_set(f: PiecewiseLinearFunction) -> ClosedIntervalSet:
     counts as one piece.  Sorting the pieces by their lowest value
     finds each piece's partners as one run of that order, and the cells
     are worked in blocks of at most 2^10, which bounds memory.  On top of
-    that each call pays a small fixed part: a few dozen numpy calls and
-    the set's construction."""
-    return _interval_set(*_chord_bounds(f))
-
-
-def _interval_set(lo: np.ndarray, hi: np.ndarray) -> ClosedIntervalSet:
-    return ClosedIntervalSet(tuple(zip(lo.tolist(), hi.tolist())))
+    that each call pays a small fixed part, about 60 us on one piece on
+    a shared 2-CPU host: a few dozen numpy calls and the set's
+    construction from the join's bounds, which are not checked again."""
+    lo, hi = _chord_bounds(f)
+    return ClosedIntervalSet._from_bounds(lo.tolist(), hi.tolist())
 
 
 @dataclass(frozen=True)
@@ -231,14 +245,14 @@ def chord_set_scan(f: PiecewiseLinearFunction, resolution: float) -> ChordScan:
     """Grid view of :func:`chord_set`: membership of each length on a
     uniform grid over [0, width], and a degenerate bracket (b, b) at each
     exact point b where membership flips."""
-    return _scan_with_set(f, resolution)[0]
+    return _scan_bounds(f, resolution)[0]
 
 
-def _scan_with_set(
+def _scan_bounds(
     f: PiecewiseLinearFunction, resolution: float
-) -> tuple[ChordScan, ClosedIntervalSet]:
-    """:func:`chord_set_scan` together with the chord set it is read from,
-    for callers that need both without computing the set twice."""
+) -> tuple[ChordScan, np.ndarray, np.ndarray]:
+    """:func:`chord_set_scan` together with the starts and ends of the
+    chord set it is read from, for callers that also need the set."""
     steps, w = _grid_steps(f, resolution), f.width
     grid = np.arange(int(np.floor(steps + tolerance(steps))) + 1) * float(resolution)
     grid = np.append(grid[grid < w - tolerance(w)], w)
@@ -253,8 +267,7 @@ def _scan_with_set(
     keep[2::2] = his[1:] != los[1:]
     keep[-1] &= flips[-1] < w
     bounds = tuple((b, b) for b in flips[keep].tolist())
-    scan = ChordScan(grid, member, bounds, float(resolution))
-    return scan, _interval_set(los, his)
+    return ChordScan(grid, member, bounds, float(resolution)), los, his
 
 
 @dataclass(frozen=True)

@@ -34,10 +34,7 @@ class PiecewiseLinearFunction:
     ys: np.ndarray
 
     def __post_init__(self) -> None:
-        self._own(
-            np.asarray(self.xs, dtype=np.float64).copy(),
-            np.asarray(self.ys, dtype=np.float64).copy(),
-        )
+        self._own(_number_column(self.xs, "xs"), _number_column(self.ys, "ys"))
 
     @classmethod
     def _from_owned(cls, xs: np.ndarray, ys: np.ndarray) -> "PiecewiseLinearFunction":
@@ -230,6 +227,22 @@ class PiecewiseLinearFunction:
 def _refuse_non_number(key: str, value) -> None:
     if isinstance(value, _NOT_NUMBERS):  # float() and numpy read them as numbers
         raise ValueError(f'"{key}" must hold numbers, got {value!r}')
+
+
+def _number_column(values, key: str) -> np.ndarray:
+    """``values`` as a new float64 array.  An array of numeric dtype holds
+    no boolean or string; any other column has the types of its values
+    read as a set, and a boolean, string or bytes among them is refused by
+    :func:`_refuse_non_number`."""
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "iuf"):
+        # np.asarray([0, True]) is an int array, so a list is typed by value
+        items = values.tolist() if isinstance(values, np.ndarray) else values
+        if isinstance(items, _NOT_NUMBERS) or not isinstance(items, Iterable):
+            items = [items]
+        if any(issubclass(t, _NOT_NUMBERS) for t in set(map(type, items))):
+            for value in items:
+                _refuse_non_number(key, value)
+    return np.array(values, dtype=np.float64)
 
 
 def _number_pairs(rows, key: str, malformed: str) -> np.ndarray:

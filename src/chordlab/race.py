@@ -21,7 +21,15 @@ import numpy as np
 from .builders import SmoothFunction, SmoothShapeSpec, build_levy
 from .intervals import tolerance, whole_ratio
 from .oracle import ChordQueryResult, has_horizontal_chord
-from .piecewise import PiecewiseLinearFunction, _number_pairs
+from .piecewise import PiecewiseLinearFunction, _number_pairs, _refuse_non_number
+
+
+def _totals(total_distance, total_time) -> tuple[float, float]:
+    """The totals as floats; a boolean, string or bytes is refused, as
+    float() would read it as a number."""
+    _refuse_non_number("total_distance", total_distance)
+    _refuse_non_number("total_time", total_time)
+    return float(total_distance), float(total_time)
 
 
 @dataclass(frozen=True)
@@ -37,8 +45,7 @@ class RaceProfile:
     position: PiecewiseLinearFunction
 
     def __post_init__(self) -> None:
-        L = float(self.total_distance)
-        T = float(self.total_time)
+        L, T = _totals(self.total_distance, self.total_time)
         if not (math.isfinite(L) and L > 0):
             raise ValueError(f"total distance must be positive, got {self.total_distance!r}")
         if not (math.isfinite(T) and T > 0):
@@ -88,17 +95,21 @@ class RaceProfile:
         string or bytes where a number belongs is refused; integers are
         numbers.
         """
-        L = float(total_distance)
-        T = float(total_time)
+        L, T = _totals(total_distance, total_time)
         pts = _number_pairs(
             splits, "splits", "each split must be a (distance, time) pair of numbers, got {row!r}"
         )
-        if len(pts) and abs(pts[0, 0]) <= tolerance(L) and abs(pts[0, 1]) <= tolerance(T):
-            pts = pts[1:]
+        # the first and last splits are compared as Python floats, which
+        # is cheaper than numpy scalar arithmetic
+        d_tol, t_tol = tolerance(L), tolerance(T)
+        if len(pts):
+            d, t = pts[0].tolist()
+            if abs(d) <= d_tol and abs(t) <= t_tol:
+                pts = pts[1:]
         if not len(pts):
             raise ValueError("need at least one split beyond the start")
-        d, t = pts[-1]
-        if abs(d - L) > tolerance(L) or abs(t - T) > tolerance(T):
+        d, t = pts[-1].tolist()
+        if abs(d - L) > d_tol or abs(t - T) > t_tol:
             raise ValueError(
                 f"final split ({d:g}, {t:g}) must reach the full distance {L:g} and time {T:g}"
             )

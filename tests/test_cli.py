@@ -329,7 +329,7 @@ class TestUnhonourableResolution:
         f = build_hopf(SAWTOOTH_PAIRS)
         for resolution in (5e-324, 1e-300, 1e-18):
             with pytest.raises(ValueError) as info:
-                cli._scan_with_set(f, resolution)
+                cli._scan_bounds(f, resolution)
             assert str(info.value) == (
                 f"resolution {resolution:g} gives too many grid lengths over width 4.4"
             )

@@ -1,3 +1,4 @@
+import math
 import time
 import tracemalloc
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 import chordlab.oracle as oracle_mod
 from chordlab import (
     ClosedIntervalSet,
+    Interval,
     PiecewiseLinearFunction,
     RaceProfile,
     build_hopf,
@@ -628,6 +630,48 @@ def test_flat_runs_of_the_smooth_sawtooth_are_merged(monkeypatch):
     got = chord_set(f)
     assert sum(sizes) == 23608
     assert _bits(got.to_pairs()) == _bits(reference_chord_set(f).to_pairs())
+
+
+def test_only_chord_set_builds_a_set(monkeypatch, sawtooth_fn):
+    # a set is built from its intervals, so counting them counts its work
+    built, init = [], Interval.__init__
+
+    def counted(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(Interval, "__init__", counted)
+    chord_set_scan(sawtooth_fn, sawtooth_fn.width / 500)
+    assert built == []
+    s = chord_set(sawtooth_fn)
+    assert len(built) == len(s.intervals) == 5
+    assert all(a is b for a, b in zip(built, s.intervals))
+
+
+# six intervals with gaps (0.95 j, 1.05 j), the last one cut short
+_SIX_PAIRS = [[0, 0.95], [1.05, 1.9], [2.1, 2.85], [3.15, 3.8], [4.2, 4.75], [5.25, 5.4]]
+
+
+def test_small_chord_set_calls_within_budget():
+    """A grid scan and an additivity check of a 22-piece Hopf tent, the
+    size of most real queries, where the fixed part of each call is most
+    of its cost; best of 50 against a time budget."""
+    budget = 1e-3
+    f = build_hopf(_SIX_PAIRS)
+    assert f.xs.size == 23
+    resolution = f.width / 500
+    best = math.inf
+    for _ in range(50):
+        t0 = time.perf_counter()
+        scan = chord_set_scan(f, resolution)
+        check = verify_complement_additivity(f, resolution)
+        best = min(best, time.perf_counter() - t0)
+    print(
+        f"chord_set_scan + verify_complement_additivity on a 22-piece Hopf tent: "
+        f"{best * 1e3:.3f} ms (budget {budget * 1e3:.1f} ms)"
+    )
+    assert check.holds and scan.membership[0] and scan.membership[-1]
+    assert best < budget
 
 
 def test_chord_set_of_16385_samples_within_budget():

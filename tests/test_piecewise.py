@@ -54,6 +54,31 @@ def test_from_breakpoints_refuses_booleans_and_strings(points, shown):
         PiecewiseLinearFunction.from_breakpoints(points)
 
 
+@pytest.mark.parametrize(
+    "xs, ys, message",
+    [
+        (["0", "1"], [0, 1], "\"xs\" must hold numbers, got '0'"),
+        ([0, 1], [True, False], '"ys" must hold numbers, got True'),
+        ([0, True], [0, 1], '"xs" must hold numbers, got True'),
+        ([0.0, 1.0], [2.0, b"1"], "\"ys\" must hold numbers, got b'1'"),
+        (np.array([0, 1]), np.array([False, True]), '"ys" must hold numbers, got False'),
+        ("01", [0, 1], "\"xs\" must hold numbers, got '01'"),
+    ],
+    ids=["strings", "booleans", "int-and-bool", "bytes", "bool-array", "string-column"],
+)
+def test_constructor_refuses_booleans_and_strings(xs, ys, message):
+    # np.asarray reads each as numbers; [0, True] even as an int array
+    with pytest.raises(ValueError) as info:
+        PiecewiseLinearFunction(xs, ys)
+    assert str(info.value) == message
+
+
+def test_constructor_reads_numbers_of_any_kind():
+    f = PiecewiseLinearFunction(range(3), [np.float64(1.5), 2, np.int32(-1)])
+    assert f.xs.dtype == f.ys.dtype == np.float64
+    assert f.xs.tolist() == [0.0, 1.0, 2.0] and f.ys.tolist() == [1.5, 2.0, -1.0]
+
+
 def test_scaled():
     g = tent().scaled(-2.0)
     assert g(1.0) == -2.0

@@ -110,6 +110,25 @@ class TestRaceProfile:
         with pytest.raises(ValueError, match=rf'^"splits" must hold numbers, got {shown}$'):
             RaceProfile.from_splits(3, 10, splits)
 
+    @pytest.mark.parametrize(
+        "totals, message",
+        [
+            ((True, "10"), '"total_distance" must hold numbers, got True'),
+            ((3, "10"), "\"total_time\" must hold numbers, got '10'"),
+            ((3, b"10"), "\"total_time\" must hold numbers, got b'10'"),
+        ],
+        ids=["boolean", "string", "bytes"],
+    )
+    def test_refuses_boolean_and_string_totals(self, totals, message):
+        # float() reads True as 1 and "10" as 10
+        with pytest.raises(ValueError) as info:
+            RaceProfile.from_splits(*totals, [[1, 10]])
+        assert str(info.value) == message
+        pos = PiecewiseLinearFunction(np.array([0.0, 10.0]), np.array([0.0, 1.0]))
+        with pytest.raises(ValueError) as info:
+            RaceProfile(*totals, pos)
+        assert str(info.value) == message
+
     def test_rejects_unsorted_times(self):
         with pytest.raises(ValueError, match="invalid splits"):
             RaceProfile.from_splits(3.0, 1080.0, [(1.0, 700.0), (2.0, 500.0), (3.0, 1080.0)])
