@@ -150,12 +150,19 @@ class ClosedIntervalSet:
 
     @classmethod
     def _from_bounds(cls, los: list[float], his: list[float]) -> "ClosedIntervalSet":
-        """The set of the intervals [los[k], his[k]] without the set's
-        shape checks: the caller guarantees that they are sorted, never
-        touch and start at 0.0, as a chord set's join does.  Each
-        :class:`Interval` still checks its own endpoints."""
+        """The set of the intervals [los[k], his[k]] with no checks: the
+        caller guarantees all that they test, as a chord set's join does.
+        The bounds are finite floats, each lo <= hi, each hi lies below
+        the next lo, and los[0] is 0.0."""
+        new, set_ = object.__new__, object.__setattr__
+        intervals = []
+        for lo, hi in zip(los, his):
+            iv = new(Interval)
+            set_(iv, "lo", lo)
+            set_(iv, "hi", hi)
+            intervals.append(iv)
         s = cls.__new__(cls)
-        s._index(tuple(map(Interval, los, his)), los, his)
+        s._index(tuple(intervals), los, his)
         return s
 
     def _index(self, intervals: tuple[Interval, ...], los: list[float], his: list[float]) -> None:

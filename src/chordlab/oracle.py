@@ -97,30 +97,44 @@ def _union(lo: np.ndarray, hi: np.ndarray, eps: float) -> tuple[np.ndarray, np.n
 
 
 def _cell_blocks(vmin: np.ndarray, vmax: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The cells, the pairs of pieces i <= j whose value ranges [vmin,
-    vmax] overlap (touching counts), as index arrays (ii, jj) in blocks of
-    at most ``_BLOCK_CELLS``.
+    """The cells to work: the pairs of pieces i < j whose value ranges
+    [vmin, vmax] overlap (touching counts), less those whose chord
+    lengths are known, as index arrays (ii, jj) in blocks of at most
+    ``_BLOCK_CELLS``.
 
     In the stable order of vmin, piece a overlaps exactly the run of
     pieces from a up to the last whose vmin is at most vmax of a, found
-    with one ``searchsorted``.  The runs laid end to end are cut into
-    blocks, and each cell is oriented as (min, max) of its pieces'
-    indices.  Work: O(n log n + cells) for n pieces; memory: O(n) plus
-    one block."""
+    with one ``searchsorted``.  Two kinds of cell are left out, as their
+    chord lengths are known without working them:
+    - a piece with itself, which gives {0}, or [0, x1 - x0] on a flat
+      piece;
+    - the last piece of a run, when it is a neighbour of a and its vmin
+      is vmax of a: the two meet only at their shared breakpoint, where
+      t is exactly 1 on one piece and 0 on the other, which gives {0} or
+      a flat piece's own lengths.  A neighbour that ties with other
+      pieces at that value and is not last is kept.
+    The runs laid end to end are cut into blocks, and each cell is
+    oriented as (min, max) of its pieces' indices.  Work: O(n log n +
+    cells) for n pieces; memory: O(n) plus one block."""
     n = vmin.size
-    order = np.argsort(vmin, kind="stable")
-    # the run of sorted position a is positions a .. end[a] - 1; laid end
-    # to end, the runs give a cells stop[a] - (end[a] - a) .. stop[a] - 1
-    end = np.searchsorted(vmin[order], vmax[order], side="right")
-    stop = end - np.arange(n)
-    np.cumsum(stop, out=stop)
+    order = vmin.argsort(kind="stable")
+    svmin, svmax = vmin[order], vmax[order]
+    # the run of sorted position a, less its own cell, is positions a + 1
+    # .. last[a]: searching svmin[1:] gives the last position whose vmin
+    # is at most vmax of a, not the one after it
+    last = svmin[1:].searchsorted(svmax, side="right")
+    last -= (svmin[last] == svmax) & (np.abs(order[last] - order) == 1)
+    # laid end to end, the runs give cells stop[a] - (last[a] - a) + 1 ..
+    # stop[a], counted from 1
+    stop = last - np.arange(n)
+    stop.cumsum(out=stop)
     total = int(stop[-1]) if n else 0
-    # cell k of the run of a pairs a with position k + end[a] - stop[a]
-    end -= stop
-    for k0 in range(0, total, _BLOCK_CELLS):
-        k = np.arange(k0, min(k0 + _BLOCK_CELLS, total))
-        a = np.searchsorted(stop, k, side="right")
-        k += end[a]
+    # cell k of the run of a pairs a with position k + last[a] - stop[a]
+    last -= stop
+    for k0 in range(1, total + 1, _BLOCK_CELLS):
+        k = np.arange(k0, min(k0 + _BLOCK_CELLS, total + 1))
+        a = stop.searchsorted(k)
+        k += last[a]
         i, j = order[a], order[k]
         yield np.minimum(i, j), np.maximum(i, j)
 
@@ -133,8 +147,10 @@ def _chord_bounds(f: PiecewiseLinearFunction) -> tuple[np.ndarray, np.ndarray]:
     worked as one piece spanning the run.  With any partner piece, the
     run's cells give intervals that meet end to end, and the merged cell
     gives their union with the same floats at its ends, so the set is
-    unchanged bit for bit; a constant function is one cell, not
-    n(n + 1)/2."""
+    unchanged bit for bit; a constant function is one piece.  The cells
+    that :func:`_cell_blocks` leaves out give 0 and the flat pieces'
+    own lengths [0, x1 - x0], which enter as one interval: 0 up to the
+    widest flat piece."""
     f._check_spans()
     xs, ys = f.xs, f.ys
     flat = ys[:-1] == ys[1:]
@@ -181,11 +197,16 @@ def _chord_bounds(f: PiecewiseLinearFunction) -> tuple[np.ndarray, np.ndarray]:
         lo = clamp(np.minimum(yl[0], yl[1]))
         hi = clamp(np.maximum(yr[0], yr[1]))
         parts.append(_union(lo, hi, eps))
-    # Each piece's own cell puts 0 in the set, so the union of a single
-    # block is the whole set.  A single point has no cells, only {0}.
-    if len(parts) == 1:
+    # The union of a single block that holds 0, with no flat piece, is
+    # the whole set.  Else the left-out cells enter as one interval, 0 up
+    # to the widest flat piece, which lies within the width; with no cell
+    # to work, as on a strictly monotone function, it is the set.
+    if len(parts) == 1 and not any_flat and parts[0][0][0] == 0.0:
         return parts[0]
-    parts.append((np.zeros(1), np.zeros(1)))
+    own = np.zeros(1), (x1[flat] - x0[flat]).max(keepdims=True) if any_flat else np.zeros(1)
+    if not parts:
+        return own
+    parts.append(own)
     return _union(*map(np.concatenate, zip(*parts)), eps)
 
 
@@ -200,12 +221,15 @@ def chord_set(f: PiecewiseLinearFunction) -> ClosedIntervalSet:
 
     Cost: O(n log n + cells) for n pieces, where the cells are the pairs
     whose value ranges overlap and a run of flat pieces at one level
-    counts as one piece.  Sorting the pieces by their lowest value
-    finds each piece's partners as one run of that order, and the cells
-    are worked in blocks of at most 2^10, which bounds memory.  On top of
-    that each call pays a small fixed part, about 60 us on one piece on
-    a shared 2-CPU host: a few dozen numpy calls and the set's
-    construction from the join's bounds, which are not checked again."""
+    counts as one piece.  A piece's own cell, and two neighbours whose
+    ranges meet in one value, give only 0 and a flat piece's own
+    lengths, so they are not worked.  Sorting the pieces by their lowest
+    value finds each piece's partners as one run of that order, and the
+    cells are worked in blocks of at most 2^10, which bounds memory.  On
+    top of that each call pays a small fixed part, about 50 us on a tent
+    of two pieces on a shared 2-CPU host: a few dozen numpy calls and
+    the set's construction from the join's bounds, which are not checked
+    again."""
     lo, hi = _chord_bounds(f)
     return ClosedIntervalSet._from_bounds(lo.tolist(), hi.tolist())
 
@@ -254,10 +278,10 @@ def _scan_bounds(
     """:func:`chord_set_scan` together with the starts and ends of the
     chord set it is read from, for callers that also need the set."""
     steps, w = _grid_steps(f, resolution), f.width
-    grid = np.arange(int(np.floor(steps + tolerance(steps))) + 1) * float(resolution)
-    grid = np.append(grid[grid < w - tolerance(w)], w)
+    grid = np.arange(math.floor(steps + tolerance(steps)) + 1) * float(resolution)
+    grid = np.concatenate((grid[grid < w - tolerance(w)], (w,)))
     los, his = _chord_bounds(f)
-    member = grid <= his[np.searchsorted(los, grid, side="right") - 1]
+    member = grid <= his[los.searchsorted(grid, side="right") - 1]
     # The intervals are sorted and never touch, so membership flips at
     # hi_0 < lo_1 <= hi_1 < lo_2 ... and at the last hi when it is short
     # of the width; a degenerate interval's lo = hi flips it once.

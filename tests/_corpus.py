@@ -3,8 +3,8 @@ for admissible sets, zero-ended piecewise linear functions and race
 profiles, a Hypothesis strategy for structurally valid layouts, and
 brute-force references: for locating points against a set's boundary,
 for the additivity test, for the shift difference's blocks and for the
-exact chord set and its grid scan; and a guard that keeps a test from
-allocating a huge array.
+exact chord set, cell by cell, and its grid scan; and a guard that
+keeps a test from allocating a huge array.
 
 The random chord sets are built the honest way: start from random open
 gaps, close them under addition (so the complement is additive by
@@ -284,35 +284,49 @@ def _reference_union(lo, hi, eps):
 _REFERENCE_BLOCK_PAIRS = 2**16
 
 
-def reference_chord_set(f: PiecewiseLinearFunction) -> ClosedIntervalSet:
-    """Dense counterpart of :func:`chord_set`: it tests every pair of
-    pieces i <= j in row blocks of up to 2^16 pairs, with ``np.ogrid`` and
-    a flat ``divmod``.  It works the same cells with the same float
-    operations as the library, only grouped into other blocks, and the
-    eps-closed union does not depend on the grouping, so the sets must
-    agree bitwise."""
+def reference_cells(f: PiecewiseLinearFunction):
+    """The reference's float expressions for cells of f: a function that
+    maps index arrays ii <= jj of pieces whose value ranges overlap to
+    the clamped starts and ends of their chord lengths, one per cell."""
     xs, ys = f.xs, f.ys
-    n = xs.size - 1
     vmin, vmax = np.minimum(ys[:-1], ys[1:]), np.maximum(ys[:-1], ys[1:])
     flat = ys[:-1] == ys[1:]
     dy = np.where(flat, 1.0, np.diff(ys))
-    eps = 4 * np.spacing(max(abs(f.x_min), abs(f.x_max)))
 
     def ends(k, v):
         t = (v - ys[k]) / dy[k]
         x = (1.0 - t) * xs[k] + t * xs[k + 1]
         return x, np.where(flat[k], xs[k + 1], x)
 
+    def cells(ii, jj):
+        v = np.stack([np.maximum(vmin[ii], vmin[jj]), np.minimum(vmax[ii], vmax[jj])])
+        (xl, xr), (yl, yr) = ends(ii, v), ends(jj, v)
+        lo = np.clip(np.minimum(*(yl - xr)), 0.0, f.width)
+        return lo, np.clip(np.maximum(*(yr - xl)), 0.0, f.width)
+
+    return cells
+
+
+def reference_chord_set(f: PiecewiseLinearFunction) -> ClosedIntervalSet:
+    """Dense counterpart of :func:`chord_set`: it tests every pair of
+    pieces i <= j in row blocks of up to 2^16 pairs, with ``np.ogrid`` and
+    a flat ``divmod``, and works every overlapping pair with
+    :func:`reference_cells`, the ones the library leaves out too.  The
+    cells it shares with the library get the same float operations, only
+    grouped into other blocks, and the eps-closed union does not depend
+    on the grouping, so the sets must agree bitwise."""
+    ys = f.ys
+    n = ys.size - 1
+    vmin, vmax = np.minimum(ys[:-1], ys[1:]), np.maximum(ys[:-1], ys[1:])
+    eps = 4 * np.spacing(max(abs(f.x_min), abs(f.x_max)))
+    work = reference_cells(f)
     parts = [(np.zeros(1), np.zeros(1))]
     rows = max(1, _REFERENCE_BLOCK_PAIRS // max(n, 1))
     for r0 in range(0, n, rows):
         i, j = np.ogrid[r0 : min(r0 + rows, n), r0:n]
         cells = (vmin[i] <= vmax[j]) & (vmin[j] <= vmax[i]) & (j >= i)
         ii, jj = np.add(np.divmod(np.flatnonzero(cells), n - r0), r0)
-        v = np.stack([np.maximum(vmin[ii], vmin[jj]), np.minimum(vmax[ii], vmax[jj])])
-        (xl, xr), (yl, yr) = ends(ii, v), ends(jj, v)
-        lo = np.clip(np.minimum(*(yl - xr)), 0.0, f.width)
-        parts.append(_reference_union(lo, np.clip(np.maximum(*(yr - xl)), 0.0, f.width), eps))
+        parts.append(_reference_union(*work(ii, jj), eps))
     lo, hi = _reference_union(*map(np.concatenate, zip(*parts)), eps)
     return ClosedIntervalSet(tuple(zip(lo.tolist(), hi.tolist())))
 

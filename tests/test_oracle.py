@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 import chordlab.oracle as oracle_mod
 from chordlab import (
     ClosedIntervalSet,
-    Interval,
     PiecewiseLinearFunction,
     RaceProfile,
     build_hopf,
@@ -27,6 +26,7 @@ from _corpus import (
     SAWTOOTH_PAIRS,
     random_chord_set,
     random_zero_ended_pl,
+    reference_cells,
     reference_chord_scan,
     reference_chord_set,
     refuse_huge,
@@ -577,26 +577,82 @@ def test_runs_longer_than_a_block(f, block):
     assert _bits(got.to_pairs()) == _bits(reference_chord_set(f).to_pairs())
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from(_KINDS), st.integers(min_value=0, max_value=2**32 - 1))
-def test_cell_blocks_give_each_overlapping_pair_once(kind, seed):
-    f = _chord_set_input(kind, np.random.default_rng(seed))
+def _left_out(f):
+    """The overlapping pairs of f's pieces, i <= j, that _cell_blocks
+    leaves out, after checking that it yields every other one once."""
     blocks = list(oracle_mod._cell_blocks(*_value_ranges(f)))
     assert all(0 < ii.size <= oracle_mod._BLOCK_CELLS for ii, _ in blocks)
     cells = [(i, j) for ii, jj in blocks for i, j in zip(ii.tolist(), jj.tolist())]
     i, j = np.nonzero(np.triu(_overlaps(f)))
-    assert len(cells) == i.size
-    assert set(cells) == set(zip(i.tolist(), j.tolist()))
+    pairs = set(zip(i.tolist(), j.tolist()))
+    assert len(set(cells)) == len(cells) and set(cells) <= pairs
+    return sorted(pairs - set(cells))
 
 
-def test_a_monotone_function_has_linearly_many_cells():
-    # each piece of a strictly increasing function overlaps itself and, at
-    # their shared value, its successor: 2n - 1 cells, not n(n + 1) / 2
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_KINDS), st.integers(min_value=0, max_value=2**32 - 1))
+def test_cell_blocks_leave_out_only_own_and_touching_neighbour_cells(kind, seed):
+    # every overlapping pair is yielded or left out, exactly once; a pair
+    # left out is a piece's own cell or two neighbours whose ranges meet
+    # in one value
+    f = _chord_set_input(kind, np.random.default_rng(seed))
+    vmin, vmax = _value_ranges(f)
+    left_out = _left_out(f)
+    assert {(i, i) for i in range(vmin.size)} <= set(left_out)
+    for i, j in left_out:
+        assert i == j or (j == i + 1 and (vmin[j] == vmax[i] or vmin[i] == vmax[j]))
+
+
+def _merge_flat_runs(f):
+    # the pieces that chord_set works: a run of flat pieces at one level is one
+    ys = f.ys.tolist()
+    keep = [0 < k < len(ys) - 1 and ys[k - 1] == ys[k] == ys[k + 1] for k in range(len(ys))]
+    keep = ~np.array(keep, dtype=bool)
+    return PiecewiseLinearFunction(f.xs[keep], f.ys[keep])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_KINDS), st.integers(min_value=0, max_value=2**32 - 1))
+def test_left_out_cells_give_only_zero_and_flat_pieces_own_lengths(kind, seed):
+    # worked with the reference's float expressions, each cell left out
+    # gives exactly [0, 0], or [0, x1 - x0] of a flat piece of the cell
+    f = _merge_flat_runs(_chord_set_input(kind, np.random.default_rng(seed)))
+    left_out = _left_out(f)
+    if not left_out:
+        return
+    ii, jj = np.array(left_out).T
+    lo, hi = reference_cells(f)(ii, jj)
+    assert lo.tobytes() == np.zeros(lo.size).tobytes()
+    xs, ys = f.xs, f.ys
+    for i, j, h in zip(ii.tolist(), jj.tolist(), hi):
+        own = [0.0] + [xs[k + 1] - xs[k] for k in (i, j) if ys[k] == ys[k + 1]]
+        assert h.tobytes() in {np.float64(w).tobytes() for w in own}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_KINDS), st.integers(min_value=0, max_value=2**32 - 1))
+def test_chord_bounds_hold_what_the_set_does_not_check(kind, seed):
+    # chord_set builds its set from these bounds with no checks
+    f = _chord_set_input(kind, np.random.default_rng(seed))
+    los, his = oracle_mod._chord_bounds(f)
+    assert los.dtype == his.dtype == np.float64
+    assert los.shape == his.shape and los.size >= 1
+    assert np.isfinite(los).all() and np.isfinite(his).all()
+    assert los[:1].tobytes() == np.zeros(1).tobytes()
+    assert (los <= his).all() and (his[:-1] < los[1:]).all()
+    checked = ClosedIntervalSet(tuple(zip(los.tolist(), his.tolist())))
+    assert _bits(checked.to_pairs()) == _bits(chord_set(f).to_pairs())
+
+
+def test_a_monotone_function_has_no_cells(monkeypatch):
+    # the pieces of a strictly increasing function overlap only their own
+    # and, at their shared value, their successor's: no cell is worked
     n = 10**4
     xs = np.arange(n + 1.0)
     f = PiecewiseLinearFunction(xs, np.sqrt(xs))
-    assert sum(ii.size for ii, _ in oracle_mod._cell_blocks(*_value_ranges(f))) == 2 * n - 1
+    sizes = _count_cells(monkeypatch)
     assert chord_set(f).to_pairs() == [[0.0, 0.0]]
+    assert sum(sizes) == 0
 
 
 def _count_cells(monkeypatch):
@@ -614,38 +670,42 @@ def _count_cells(monkeypatch):
 
 
 def test_a_constant_function_is_one_cell(monkeypatch):
-    # its 10^4 flat pieces are one run, worked as one piece
+    # its 10^4 flat pieces are one run, worked as one piece, whose own
+    # cell is the whole set and is not worked
     n = 10**4
     f = PiecewiseLinearFunction(np.arange(n + 1.0), np.full(n + 1, 2.5))
     sizes = _count_cells(monkeypatch)
     assert chord_set(f).to_pairs() == [[0.0, float(n)]]
-    assert sum(sizes) == 1
+    assert sum(sizes) == 0
 
 
 def test_flat_runs_of_the_smooth_sawtooth_are_merged(monkeypatch):
     # the samples that underflow to 0 lie in flat runs; merged, they leave
-    # 23608 of the 24823 overlapping pairs of pieces and the same set
+    # 23608 of the 24823 overlapping pairs of pieces, of which 15500 are
+    # neither a piece's own cell nor two neighbours meeting in one value,
+    # and the same set
     f = smooth_chord_function(ClosedIntervalSet.from_pairs(SAWTOOTH_PAIRS)).to_piecewise(4097)
     sizes = _count_cells(monkeypatch)
     got = chord_set(f)
-    assert sum(sizes) == 23608
+    assert sum(sizes) == 15500
     assert _bits(got.to_pairs()) == _bits(reference_chord_set(f).to_pairs())
 
 
 def test_only_chord_set_builds_a_set(monkeypatch, sawtooth_fn):
-    # a set is built from its intervals, so counting them counts its work
-    built, init = [], Interval.__init__
+    # every set is indexed once as it is built, however its intervals
+    # are made, so counting the index calls counts the sets
+    built, index = [], ClosedIntervalSet._index
 
     def counted(self, *args):
         built.append(self)
-        init(self, *args)
+        index(self, *args)
 
-    monkeypatch.setattr(Interval, "__init__", counted)
+    monkeypatch.setattr(ClosedIntervalSet, "_index", counted)
     chord_set_scan(sawtooth_fn, sawtooth_fn.width / 500)
     assert built == []
     s = chord_set(sawtooth_fn)
-    assert len(built) == len(s.intervals) == 5
-    assert all(a is b for a, b in zip(built, s.intervals))
+    assert len(built) == 1 and built[0] is s
+    assert len(s.intervals) == 5
 
 
 # six intervals with gaps (0.95 j, 1.05 j), the last one cut short
@@ -674,16 +734,22 @@ def test_small_chord_set_calls_within_budget():
     assert best < budget
 
 
-def test_chord_set_of_16385_samples_within_budget():
-    """The smooth sawtooth sampled at 16385 points, against a time budget."""
+def test_chord_set_of_16385_samples_within_budget(monkeypatch):
+    """The smooth sawtooth sampled at 16385 points, against a time budget,
+    with the cells it works."""
     budget = 0.1
     spec = ClosedIntervalSet.from_pairs(SAWTOOTH_PAIRS)
     f = smooth_chord_function(spec).to_piecewise(16385)
+    sizes = _count_cells(monkeypatch)
     t0 = time.perf_counter()
     s = chord_set(f)
     dt = time.perf_counter() - t0
-    print(f"chord_set at {f.xs.size} samples of the smooth sawtooth: {dt:.3f}s (budget {budget:.2f}s)")
+    print(
+        f"chord_set at {f.xs.size} samples of the smooth sawtooth: {sum(sizes)} cells, "
+        f"{dt:.3f}s (budget {budget:.2f}s)"
+    )
     assert len(s.intervals) == len(SAWTOOTH_PAIRS)
+    assert sum(sizes) == 61214
     assert dt < budget
 
 
