@@ -32,6 +32,7 @@ import numpy as np
 from .intervals import (
     ClosedIntervalSet,
     ValidationError,
+    _number,
     tolerance,
     validate_chord_spec,
     whole_ratio,
@@ -57,10 +58,11 @@ class SmoothShapeSpec:
     def __post_init__(self) -> None:
         if self.kind not in SHAPE_KINDS:
             raise ValueError(f"unknown shape kind {self.kind!r}; choose from {SHAPE_KINDS}")
-        if not (math.isfinite(self.period) and self.period > 0):
-            raise ValueError(f"period must be positive and finite, got {self.period!r}")
-        if not (math.isfinite(self.amplitude) and self.amplitude > 0):
-            raise ValueError(f"amplitude must be positive and finite, got {self.amplitude!r}")
+        for key in ("period", "amplitude"):
+            value = _number(key, getattr(self, key))
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{key} must be positive and finite, got {value!r}")
+            object.__setattr__(self, key, value)
 
     def __call__(self, x):
         u = np.asarray(x, dtype=np.float64)
@@ -131,17 +133,14 @@ def build_hopf(spec) -> PiecewiseLinearFunction:
     Raises ValidationError if the set fails admissibility checks.
     """
     s = _admissible(spec)
-    points: list[tuple[float, float]] = []
-    for iv in s.intervals:
-        points.append((iv.lo, 0.0))
-        if not iv.degenerate:
-            points.append((0.5 * (iv.lo + iv.hi), 0.5 * iv.length))
-            points.append((iv.hi, 0.0))
-    for glo, ghi in s.gaps:
-        points.append((0.5 * (glo + ghi), -0.5 * (ghi - glo)))
-    points.sort()
-    arr = np.asarray(points)
-    return PiecewiseLinearFunction(arr[:, 0], arr[:, 1])
+    # 0 at each boundary point, +-half the width at each segment's midpoint
+    b = np.array(s.boundary)
+    xs = np.empty(2 * b.size - 1)
+    ys = np.zeros(xs.size)
+    xs[0::2] = b
+    xs[1::2] = 0.5 * (b[:-1] + b[1:])
+    ys[1::2] = 0.5 * (b[1:] - b[:-1]) * s._signs[:-1]
+    return PiecewiseLinearFunction._from_owned(xs, ys)
 
 
 def _flat_product(alpha: float, beta: float) -> float:
@@ -197,8 +196,8 @@ def build_levy(
     result is exactly piecewise linear; with sin_squared a closed-form
     smooth function is returned.
     """
-    w = float(total_width)
-    h = float(h)
+    w = _number("total_width", total_width)
+    h = _number("h", h)
     if not (math.isfinite(w) and math.isfinite(h)) or h <= 0 or w <= h:
         raise ValueError(f"need total width > h > 0, got width {total_width!r}, h {h!r}")
     if shape is None:

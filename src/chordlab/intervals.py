@@ -14,7 +14,8 @@ snapping rule.
 It also holds chordlab's tolerance policy: values computed from a
 piecewise linear function are compared exactly, and inputs are matched
 within :func:`tolerance` of their own scale, so answers do not depend on
-units.
+units.  And it holds the number rule, in :func:`_number` for a caller's
+scalars and in the readers of columns and rows of numbers beside it.
 """
 
 from __future__ import annotations
@@ -23,6 +24,10 @@ import bisect
 import math
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
+from itertools import chain
+from numbers import Real
+
+import numpy as np
 
 RTOL = 1e-9
 
@@ -45,7 +50,73 @@ class ValidationError(ValueError):
     """Raised when a candidate chord set is malformed or inadmissible."""
 
 
-_NOT_NUMBERS = (bool, str, bytes)
+# float() and numpy read a boolean as 0 or 1, and a string or bytes as the number it spells
+_NOT_NUMBERS = (bool, np.bool_, str, bytes)
+
+
+def _refuse_non_number(key: str, value) -> None:
+    if isinstance(value, _NOT_NUMBERS):
+        raise ValueError(f'"{key}" must hold numbers, got {value!r}')
+
+
+def _number(key: str, value) -> float:
+    """A caller's scalar parameter ``key`` as a float; a boolean, string,
+    bytes or anything float() cannot read is refused.  Point evaluation,
+    once per point, reads its points with a bare float() instead."""
+    _refuse_non_number(key, value)
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f'"{key}" must hold numbers, got {value!r}') from None
+
+
+def _number_column(values, key: str) -> np.ndarray:
+    """``values`` as a new float64 array.  An array of numeric dtype holds
+    no boolean or string; any other column has the types of its values
+    read as a set, and a boolean, string or bytes among them is refused by
+    :func:`_refuse_non_number`."""
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "iuf"):
+        # np.asarray([0, True]) is an int array, so a list is typed by value
+        items = values.tolist() if isinstance(values, np.ndarray) else values
+        if isinstance(items, _NOT_NUMBERS) or not isinstance(items, Iterable):
+            items = [items]
+        if any(issubclass(t, _NOT_NUMBERS) for t in set(map(type, items))):
+            for value in items:
+                _refuse_non_number(key, value)
+    return np.array(values, dtype=np.float64)
+
+
+def _number_pairs(rows, key: str, malformed: str) -> np.ndarray:
+    """The [a, b] rows of ``rows`` as an (n, 2) float64 array, possibly
+    ``rows`` itself: the rows' lengths and the values' types (and the rows'
+    types, unless every value is a float) are read as sets, and the values
+    by one np.array, with no Python loop.
+    Only if that fails are the rows read one by one: the first that is not
+    a pair of real numbers is refused by :func:`_refuse_non_number`, or
+    else with ``malformed`` formatted with ``key`` and that ``row``."""
+    if isinstance(rows, np.ndarray) and rows.dtype.kind in "iuf" and rows.shape[1:] == (2,):
+        return rows.astype(np.float64, copy=False)
+    rows = rows if isinstance(rows, (list, tuple)) else list(rows)
+    try:
+        if set(map(len, rows)) <= {2}:
+            values = list(chain.from_iterable(rows))
+            types = set(map(type, values))
+            # floats and ints, all that JSON gives, are tested first; a bytes
+            # row reads as ints, so the rows are typed only if not all floats
+            if types <= {float} or (
+                (types <= {float, int} or all(issubclass(t, Real) and t is not bool for t in types))
+                and not any(issubclass(t, _NOT_NUMBERS) for t in set(map(type, rows)))
+            ):
+                return np.array(values, dtype=np.float64).reshape(-1, 2)
+    except TypeError:  # a row without a length
+        pass
+    for row in rows:
+        values = list(row) if isinstance(row, Iterable) else []
+        for value in [row, *values]:
+            _refuse_non_number(key, value)
+        if len(values) != 2 or not all(isinstance(v, Real) for v in values):
+            raise ValueError(malformed.format(key=key, row=row))
+    raise ValueError(malformed.format(key=key, row=rows))
 
 
 @dataclass(frozen=True)
@@ -64,8 +135,6 @@ class Interval:
         lo = float(given_lo)
         hi = float(given_hi)
         if lo is not given_lo or hi is not given_hi:
-            # float() also reads a boolean as 0 or 1 and a string as the
-            # number it spells
             if isinstance(given_lo, _NOT_NUMBERS) or isinstance(given_hi, _NOT_NUMBERS):
                 raise ValidationError(
                     f"interval endpoints must be numbers, got [{given_lo!r}, {given_hi!r}]"
@@ -293,8 +362,6 @@ def _sum_counterexample(
         r_lo = max(iv.lo, lo)
         r_hi = min(iv.hi, hi)
         if r_hi <= lo or r_lo >= hi:
-            continue
-        if r_hi < r_lo:
             continue
         mid = 0.5 * (r_lo + r_hi)
         t = (mid - lo) / (hi - lo)

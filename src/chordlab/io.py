@@ -37,9 +37,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .intervals import ClosedIntervalSet
+from .intervals import ClosedIntervalSet, _number_pairs
 from .oracle import ChordScan
-from .piecewise import PiecewiseLinearFunction, _number_pairs, _refuse_non_number
+from .piecewise import PiecewiseLinearFunction
 from .race import RaceProfile
 
 
@@ -184,17 +184,10 @@ def parse_profile(obj: dict) -> RaceProfile:
     for key in ("total_distance", "total_time", "splits"):
         if key not in obj:
             raise ValueError(f'profile object must contain key "{key}"')
-    _refuse_non_number("total_distance", obj["total_distance"])
-    _refuse_non_number("total_time", obj["total_time"])
-    try:
-        L = float(obj["total_distance"])
-        T = float(obj["total_time"])
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"profile totals must be numbers: {exc}") from exc
     splits = obj["splits"]
     if not isinstance(splits, list):
         raise ValueError('"splits" must be a list of [distance, time] pairs')
-    return RaceProfile.from_splits(L, T, splits)
+    return RaceProfile.from_splits(obj["total_distance"], obj["total_time"], splits)
 
 
 def _json_int(text: str) -> int:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .intervals import ClosedIntervalSet, is_additive, tolerance
+from .intervals import ClosedIntervalSet, _number, is_additive, tolerance
 from .piecewise import PiecewiseLinearFunction
 
 
@@ -249,20 +249,19 @@ class ChordScan:
 _MAX_POINTS = np.iinfo(np.intp).max // 8
 
 
-def _grid_steps(f: PiecewiseLinearFunction, resolution: float) -> float:
+def _grid_steps(f: PiecewiseLinearFunction, resolution) -> tuple[float, float]:
     """Steps of a uniform grid of lengths over [0, width] at ``resolution``,
-    which is validated without allocating the grid."""
-    f._check_spans()
+    and the resolution, validated without allocating the grid."""
     w = f.width
     if w <= 0:
         raise ValueError("cannot scan a single-point function")
-    resolution = float(resolution)
+    resolution = _number("resolution", resolution)
     if not (0 < resolution <= w):
         raise ValueError(f"resolution must lie in (0, {w:g}], got {resolution:g}")
     steps = w / resolution
     if not steps < _MAX_POINTS:
         raise ValueError(f"resolution {resolution:g} gives too many grid lengths over width {w:g}")
-    return steps
+    return steps, resolution
 
 
 def chord_set_scan(f: PiecewiseLinearFunction, resolution: float) -> ChordScan:
@@ -277,10 +276,10 @@ def _scan_bounds(
 ) -> tuple[ChordScan, np.ndarray, np.ndarray]:
     """:func:`chord_set_scan` together with the starts and ends of the
     chord set it is read from, for callers that also need the set."""
-    steps, w = _grid_steps(f, resolution), f.width
-    grid = np.arange(math.floor(steps + tolerance(steps)) + 1) * float(resolution)
+    los, his = _chord_bounds(f)  # checks f's spans first
+    (steps, resolution), w = _grid_steps(f, resolution), f.width
+    grid = np.arange(math.floor(steps + tolerance(steps)) + 1) * resolution
     grid = np.concatenate((grid[grid < w - tolerance(w)], (w,)))
-    los, his = _chord_bounds(f)
     member = grid <= his[los.searchsorted(grid, side="right") - 1]
     # The intervals are sorted and never touch, so membership flips at
     # hi_0 < lo_1 <= hi_1 < lo_2 ... and at the last hi when it is short
@@ -291,7 +290,7 @@ def _scan_bounds(
     keep[2::2] = his[1:] != los[1:]
     keep[-1] &= flips[-1] < w
     bounds = tuple((b, b) for b in flips[keep].tolist())
-    return ChordScan(grid, member, bounds, float(resolution)), los, his
+    return ChordScan(grid, member, bounds, resolution), los, his
 
 
 @dataclass(frozen=True)
@@ -304,8 +303,9 @@ def verify_complement_additivity(f: PiecewiseLinearFunction, resolution: float) 
     """Decide exactly whether f's absent chord lengths are closed under
     addition, as :func:`is_additive` of :func:`chord_set`; ``resolution``
     is only validated.  A violation is an (a, b, a + b) triple."""
+    s = chord_set(f)  # checks f's spans first
     _grid_steps(f, resolution)
-    res = is_additive(chord_set(f))
+    res = is_additive(s)
     if res.additive:
         return AdditivityCheck(True, ())
     a, b = res.counterexample

@@ -10,14 +10,11 @@ existence into a finite question about vertex values and sign changes.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import chain
-from numbers import Real
 
 import numpy as np
 
-from .intervals import _NOT_NUMBERS, tolerance
+from .intervals import _number, _number_column, _number_pairs, tolerance
 
 _FIRST_BLOCK = 1024  # breakpoints of f in the first block of a shift difference
 
@@ -127,7 +124,7 @@ class PiecewiseLinearFunction:
         return np.diff(self.ys) / np.diff(self.xs)
 
     def scaled(self, factor: float) -> "PiecewiseLinearFunction":
-        return PiecewiseLinearFunction(self.xs, self.ys * float(factor))
+        return PiecewiseLinearFunction(self.xs, self.ys * _number("factor", factor))
 
     def shift_difference(self, s: float) -> "PiecewiseLinearFunction":
         """Exact piecewise linear representation of x -> f(x + s) - f(x),
@@ -139,7 +136,7 @@ class PiecewiseLinearFunction:
     def _clamp_shift(self, s: float) -> float:
         """s clamped to [0, width]; a shift (chord length) more than the
         tolerance outside it, or NaN, is refused."""
-        s = float(s)
+        s = _number("s", s)
         slack = tolerance(self.width)
         if not -slack <= s <= self.width + slack:
             raise ValueError(
@@ -222,60 +219,6 @@ class PiecewiseLinearFunction:
             if last:
                 return
             i0, j0, size = i1, j1, 2 * size
-
-
-def _refuse_non_number(key: str, value) -> None:
-    if isinstance(value, _NOT_NUMBERS):  # float() and numpy read them as numbers
-        raise ValueError(f'"{key}" must hold numbers, got {value!r}')
-
-
-def _number_column(values, key: str) -> np.ndarray:
-    """``values`` as a new float64 array.  An array of numeric dtype holds
-    no boolean or string; any other column has the types of its values
-    read as a set, and a boolean, string or bytes among them is refused by
-    :func:`_refuse_non_number`."""
-    if not (isinstance(values, np.ndarray) and values.dtype.kind in "iuf"):
-        # np.asarray([0, True]) is an int array, so a list is typed by value
-        items = values.tolist() if isinstance(values, np.ndarray) else values
-        if isinstance(items, _NOT_NUMBERS) or not isinstance(items, Iterable):
-            items = [items]
-        if any(issubclass(t, _NOT_NUMBERS) for t in set(map(type, items))):
-            for value in items:
-                _refuse_non_number(key, value)
-    return np.array(values, dtype=np.float64)
-
-
-def _number_pairs(rows, key: str, malformed: str) -> np.ndarray:
-    """The [a, b] rows of ``rows`` as an (n, 2) float64 array, possibly
-    ``rows`` itself: the rows' lengths and the values' types (and the rows'
-    types, unless every value is a float) are read as sets, and the values
-    by one np.array, with no Python loop.
-    Only if that fails are the rows read one by one: the first that is not
-    a pair of real numbers is refused by :func:`_refuse_non_number`, or
-    else with ``malformed`` formatted with ``key`` and that ``row``."""
-    if isinstance(rows, np.ndarray) and rows.dtype.kind in "iuf" and rows.shape[1:] == (2,):
-        return rows.astype(np.float64, copy=False)
-    rows = rows if isinstance(rows, (list, tuple)) else list(rows)
-    try:
-        if set(map(len, rows)) <= {2}:
-            values = list(chain.from_iterable(rows))
-            types = set(map(type, values))
-            # floats and ints, all that JSON gives, are tested first; a bytes
-            # row reads as ints, so the rows are typed only if not all floats
-            if types <= {float} or (
-                (types <= {float, int} or all(issubclass(t, Real) and t is not bool for t in types))
-                and not any(issubclass(t, _NOT_NUMBERS) for t in set(map(type, rows)))
-            ):
-                return np.array(values, dtype=np.float64).reshape(-1, 2)
-    except TypeError:  # a row without a length
-        pass
-    for row in rows:
-        values = list(row) if isinstance(row, Iterable) else []
-        for value in [row, *values]:
-            _refuse_non_number(key, value)
-        if len(values) != 2 or not all(isinstance(v, Real) for v in values):
-            raise ValueError(malformed.format(key=key, row=row))
-    raise ValueError(malformed.format(key=key, row=rows))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

@@ -19,17 +19,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .builders import SmoothFunction, SmoothShapeSpec, build_levy
-from .intervals import tolerance, whole_ratio
+from .intervals import _number, _number_pairs, tolerance, whole_ratio
 from .oracle import ChordQueryResult, has_horizontal_chord
-from .piecewise import PiecewiseLinearFunction, _number_pairs, _refuse_non_number
+from .piecewise import PiecewiseLinearFunction
 
 
 def _totals(total_distance, total_time) -> tuple[float, float]:
-    """The totals as floats; a boolean, string or bytes is refused, as
-    float() would read it as a number."""
-    _refuse_non_number("total_distance", total_distance)
-    _refuse_non_number("total_time", total_time)
-    return float(total_distance), float(total_time)
+    """The totals as positive finite floats."""
+    L = _number("total_distance", total_distance)
+    T = _number("total_time", total_time)
+    if not (math.isfinite(L) and L > 0):
+        raise ValueError(f"total distance must be positive, got {total_distance!r}")
+    if not (math.isfinite(T) and T > 0):
+        raise ValueError(f"total time must be positive, got {total_time!r}")
+    return L, T
 
 
 @dataclass(frozen=True)
@@ -46,10 +49,6 @@ class RaceProfile:
 
     def __post_init__(self) -> None:
         L, T = _totals(self.total_distance, self.total_time)
-        if not (math.isfinite(L) and L > 0):
-            raise ValueError(f"total distance must be positive, got {self.total_distance!r}")
-        if not (math.isfinite(T) and T > 0):
-            raise ValueError(f"total time must be positive, got {self.total_time!r}")
         object.__setattr__(self, "total_distance", L)
         object.__setattr__(self, "total_time", T)
         pos = self.position
@@ -79,10 +78,9 @@ class RaceProfile:
     @classmethod
     def constant(cls, total_distance: float, total_time: float) -> "RaceProfile":
         """Perfectly even pacing."""
-        pos = PiecewiseLinearFunction(
-            np.array([0.0, float(total_time)]), np.array([0.0, float(total_distance)])
-        )
-        return cls(total_distance, total_time, pos)
+        L, T = _totals(total_distance, total_time)
+        pos = PiecewiseLinearFunction._from_owned(np.array([0.0, T]), np.array([0.0, L]))
+        return cls(L, T, pos)
 
     @classmethod
     def from_splits(
@@ -147,9 +145,9 @@ class WindowExtrema:
     max_time: float
 
 
-def _check_window_distance(profile: RaceProfile, d: float) -> float:
-    d = float(d)
-    L = profile.total_distance
+def _check_window_distance(L: float, d) -> float:
+    """d as a float, at most the total distance L."""
+    d = _number("d", d)
     if not (d > 0 and math.isfinite(L / d)):
         raise ValueError(f"window distance must be positive, with L/d finite; got {d!r}")
     if d > L + tolerance(L):
@@ -166,7 +164,7 @@ def window_time_extrema(profile: RaceProfile, d: float) -> WindowExtrema:
     (the time profile's breakpoints, their translates by -d and the two
     ends) without building g, and equal the min and max of
     ``profile.inverse.shift_difference(d).ys`` bitwise."""
-    d = _check_window_distance(profile, d)
+    d = _check_window_distance(profile.total_distance, d)
     return WindowExtrema(*profile.inverse._shift_difference_range(d))
 
 
@@ -179,8 +177,8 @@ def to_chord_problem(profile: RaceProfile, d: float) -> PiecewiseLinearFunction:
     position(u T / lam) - d u.  A chord g(u + 1) = g(u) corresponds to
     the window starting at time u T / lam covering exactly distance d in
     the average time T / lam."""
-    d = _check_window_distance(profile, d)
     L = profile.total_distance
+    d = _check_window_distance(L, d)
     T = profile.total_time
     lam = whole_ratio(L, d) or L / d
     scale = lam / T
@@ -204,7 +202,7 @@ def exists_average_split(profile: RaceProfile, d: float) -> ChordQueryResult:
     the window's start time (None when no window exists) and ``vertices``
     the work of the chord query on :func:`to_chord_problem`.  Exact for
     piecewise linear profiles."""
-    d = _check_window_distance(profile, d)
+    d = _check_window_distance(profile.total_distance, d)
     g = to_chord_problem(profile, d)
     res = has_horizontal_chord(g, 1.0)
     window = profile.total_time * d / profile.total_distance
@@ -223,8 +221,8 @@ def find_average_split(profile: RaceProfile, d: float) -> float:
     applied to :func:`to_chord_problem`), and the window is the exact
     witness of :func:`exists_average_split`, interpolated between two
     vertices: position(t* + T/n) - position(t*) = d up to rounding."""
-    d = _check_window_distance(profile, d)
     L = profile.total_distance
+    d = _check_window_distance(L, d)
     if not whole_ratio(L, d):
         raise ValueError(
             f"total distance {L:g} is not a whole-number multiple of {d:g}; "
@@ -247,11 +245,8 @@ def from_chord_function(
     would stall or reverse the runner; :class:`RaceProfile` refuses it
     and names the segment.
     """
-    L = float(total_distance)
-    T = float(total_time)
-    d = float(d)
-    if not (L > 0 and T > 0 and d > 0):
-        raise ValueError("total distance, total time, and window distance must be positive")
+    L, T = _totals(total_distance, total_time)
+    d = _check_window_distance(L, d)
     lam = L / d
     u_tol = tolerance(lam)
     if abs(g.width - lam) > u_tol or abs(g.x_min) > u_tol:
@@ -304,9 +299,9 @@ def build_adversarial_profile(
     within about 2e-8 n of n it drowns in rounding and a ValueError
     points to the triangle wave, whose increment is linear in it.
     """
-    L = float(total_distance)
-    T = float(total_time)
-    d = float(d)
+    L = _number("total_distance", total_distance)
+    T = _number("total_time", total_time)
+    d = _number("d", d)
     if not (L > 0 and T > 0 and d > 0 and all(map(math.isfinite, (L, T, L / d, L / d / T)))):
         raise ValueError(
             "total distance, total time, and window distance must be positive, "

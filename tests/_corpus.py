@@ -2,9 +2,9 @@
 for admissible sets, zero-ended piecewise linear functions and race
 profiles, a Hypothesis strategy for structurally valid layouts, and
 brute-force references: for locating points against a set's boundary,
-for the additivity test, for the shift difference's blocks and for the
-exact chord set, cell by cell, and its grid scan; and a guard that
-keeps a test from allocating a huge array.
+for the additivity test, for the Hopf construction, for the shift
+difference's blocks and for the exact chord set, cell by cell, and its
+grid scan; and a guard that keeps a test from allocating a huge array.
 
 The random chord sets are built the honest way: start from random open
 gaps, close them under addition (so the complement is additive by
@@ -265,6 +265,23 @@ def reference_is_additive(s: ClosedIntervalSet) -> AdditivityResult:
             if not any(glo <= lo + slack and hi <= ghi + slack for glo, ghi in gaps):
                 return AdditivityResult(False, _sum_counterexample(s, (p1, q1), (p2, q2), lo, hi))
     return AdditivityResult(True)
+
+
+def reference_hopf(s: ClosedIntervalSet) -> PiecewiseLinearFunction:
+    """The Hopf construction of s from its tents: the positive tents over
+    the intervals and the negative ones over the gaps, collected and then
+    sorted."""
+    points = []
+    for iv in s.intervals:
+        points.append((iv.lo, 0.0))
+        if not iv.degenerate:
+            points.append((0.5 * (iv.lo + iv.hi), 0.5 * iv.length))
+            points.append((iv.hi, 0.0))
+    for glo, ghi in s.gaps:
+        points.append((0.5 * (glo + ghi), -0.5 * (ghi - glo)))
+    points.sort()
+    arr = np.asarray(points)
+    return PiecewiseLinearFunction(arr[:, 0], arr[:, 1])
 
 
 def near_additive_family(m: int) -> list[list[float]]:

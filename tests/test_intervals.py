@@ -10,11 +10,24 @@ import chordlab
 from chordlab import (
     ClosedIntervalSet,
     Interval,
+    PiecewiseLinearFunction,
+    RaceProfile,
+    SmoothShapeSpec,
     ValidationError,
+    build_adversarial_profile,
+    build_levy,
+    chord_set_scan,
+    exists_average_split,
+    find_average_split,
+    has_horizontal_chord,
     is_additive,
+    to_chord_problem,
     tolerance,
     validate_chord_spec,
+    verify_complement_additivity,
+    window_time_extrema,
 )
+from chordlab.race import from_chord_function
 from _corpus import (
     SAWTOOTH_PAIRS,
     interval_layouts,
@@ -53,6 +66,13 @@ class TestInterval:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValidationError, match="finite"):
             Interval(0.0, float("inf"))
+
+    @pytest.mark.parametrize("hi", [True, np.True_], ids=["boolean", "numpy-boolean"])
+    def test_rejects_booleans(self, hi):
+        # float() reads either as 1
+        with pytest.raises(ValidationError) as info:
+            Interval(0, hi)
+        assert str(info.value) == f"interval endpoints must be numbers, got [0, {hi!r}]"
 
 
 class TestClosedIntervalSet:
@@ -325,3 +345,51 @@ def test_no_public_callable_takes_tol():
         for fn in members:
             if inspect.isfunction(fn) or inspect.ismethod(fn):
                 assert "tol" not in inspect.signature(fn).parameters, (name, fn.__name__)
+
+
+_F = PiecewiseLinearFunction(np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 0.0]))
+_SPLITS = [[1, 330], [2, 720], [3, 1080]]
+_MILES = RaceProfile.from_splits(3, 1080, _SPLITS)
+_CHORDS = to_chord_problem(_MILES, 1)
+
+# every public call that reads a caller's scalar, with the parameter's key
+_GATED = [
+    ("total_distance", lambda v: RaceProfile(v, 1080, _MILES.position)),
+    ("total_time", lambda v: RaceProfile(3, v, _MILES.position)),
+    ("total_distance", lambda v: RaceProfile.from_splits(v, 1080, _SPLITS)),
+    ("total_time", lambda v: RaceProfile.from_splits(3, v, _SPLITS)),
+    ("total_distance", lambda v: RaceProfile.constant(v, 1080)),
+    ("total_time", lambda v: RaceProfile.constant(3, v)),
+    ("total_distance", lambda v: from_chord_function(_CHORDS, v, 1080, 1)),
+    ("total_time", lambda v: from_chord_function(_CHORDS, 3, v, 1)),
+    ("d", lambda v: from_chord_function(_CHORDS, 3, 1080, v)),
+    ("total_distance", lambda v: build_adversarial_profile(v, 1200, 1.25)),
+    ("total_time", lambda v: build_adversarial_profile(3, v, 1.25)),
+    ("d", lambda v: build_adversarial_profile(3, 1200, v)),
+    ("d", lambda v: window_time_extrema(_MILES, v)),
+    ("d", lambda v: to_chord_problem(_MILES, v)),
+    ("d", lambda v: exists_average_split(_MILES, v)),
+    ("d", lambda v: find_average_split(_MILES, v)),
+    ("s", lambda v: has_horizontal_chord(_F, v)),
+    ("s", lambda v: _F.shift_difference(v)),
+    ("factor", lambda v: _F.scaled(v)),
+    ("resolution", lambda v: chord_set_scan(_F, v)),
+    ("resolution", lambda v: verify_complement_additivity(_F, v)),
+    ("total_width", lambda v: build_levy(v, 1)),
+    ("h", lambda v: build_levy(2.5, v)),
+    ("period", lambda v: SmoothShapeSpec("sin_squared", period=v)),
+    ("amplitude", lambda v: SmoothShapeSpec("sin_squared", amplitude=v)),
+]
+
+
+@pytest.mark.parametrize(
+    "value", [True, np.True_, "1", b"1", None], ids=["bool", "numpy-bool", "str", "bytes", "None"]
+)
+@pytest.mark.parametrize(
+    "key, call", _GATED, ids=[f"{i}-{key}" for i, (key, _) in enumerate(_GATED)]
+)
+def test_every_scalar_parameter_keeps_the_number_rule(key, call, value):
+    # float() reads the first four as numbers and raises TypeError for None
+    with pytest.raises(ValueError) as info:
+        call(value)
+    assert str(info.value) == f'"{key}" must hold numbers, got {value!r}'

@@ -63,8 +63,12 @@ def test_from_breakpoints_refuses_booleans_and_strings(points, shown):
         ([0.0, 1.0], [2.0, b"1"], "\"ys\" must hold numbers, got b'1'"),
         (np.array([0, 1]), np.array([False, True]), '"ys" must hold numbers, got False'),
         ("01", [0, 1], "\"xs\" must hold numbers, got '01'"),
+        ([0, 1], [np.True_, np.False_], f'"ys" must hold numbers, got {np.True_!r}'),
     ],
-    ids=["strings", "booleans", "int-and-bool", "bytes", "bool-array", "string-column"],
+    ids=[
+        "strings", "booleans", "int-and-bool", "bytes", "bool-array", "string-column",
+        "numpy-booleans",
+    ],
 )
 def test_constructor_refuses_booleans_and_strings(xs, ys, message):
     # np.asarray reads each as numbers; [0, True] even as an int array

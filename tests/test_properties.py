@@ -1,5 +1,6 @@
 """Properties tying the exact chord set to the other layers: point
-queries, the Hopf construction, the additivity of the complement, the
+queries, the Hopf construction (and its breakpoints to the tents it is
+made of), the additivity of the complement, the
 sign-change bound and JSON round trips; the validator's verdict to
 additivity alone; every answer to the units of its input; and a
 profile to the shape its splits come in."""
@@ -28,11 +29,13 @@ from chordlab import (
     validate_chord_spec,
 )
 from _corpus import (
+    SAWTOOTH_PAIRS,
     interval_layouts,
     random_bounded_profile,
     random_chord_set,
     random_integer_ratio_profile,
     random_zero_ended_pl,
+    reference_hopf,
 )
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -67,6 +70,20 @@ def test_agrees_with_point_queries(seed):
             if np.min(np.abs(boundary - length)) <= 1e-9 * w:
                 continue
             assert s.contains(length) == has_horizontal_chord(f, length).exists, length
+
+
+@settings(max_examples=30, deadline=None)
+@given(seeds)
+def test_hopf_breakpoints_are_the_tents(seed):
+    # bitwise: the same floats in the same order as the sorted tents
+    for s in (
+        random_chord_set(np.random.default_rng(seed)),
+        ClosedIntervalSet.from_pairs([[0, 0]]),
+        ClosedIntervalSet.from_pairs(SAWTOOTH_PAIRS),
+    ):
+        f, want = build_hopf(s), reference_hopf(s)
+        assert f.xs.tobytes() == want.xs.tobytes()
+        assert f.ys.tobytes() == want.ys.tobytes()
 
 
 @settings(max_examples=30, deadline=None)

@@ -116,8 +116,9 @@ class TestRaceProfile:
             ((True, "10"), '"total_distance" must hold numbers, got True'),
             ((3, "10"), "\"total_time\" must hold numbers, got '10'"),
             ((3, b"10"), "\"total_time\" must hold numbers, got b'10'"),
+            ((np.True_, 10), f'"total_distance" must hold numbers, got {np.True_!r}'),
         ],
-        ids=["boolean", "string", "bytes"],
+        ids=["boolean", "string", "bytes", "numpy-boolean"],
     )
     def test_refuses_boolean_and_string_totals(self, totals, message):
         # float() reads True as 1 and "10" as 10
