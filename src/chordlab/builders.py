@@ -67,6 +67,7 @@ class SmoothShapeSpec:
     def __call__(self, x):
         u = np.asarray(x, dtype=np.float64)
         scalar = u.ndim == 0
+        # ** 2 of a 0-d value can differ in the last bit from the array's square
         u = np.atleast_1d(u)
         if self.kind == "sin_squared":
             out = self.amplitude * np.sin(np.pi * u / self.period) ** 2
@@ -93,6 +94,10 @@ class SmoothFunction:
     fn: Callable[[np.ndarray], np.ndarray]
     x_min: float
     x_max: float
+
+    def __post_init__(self) -> None:
+        for key in ("x_min", "x_max"):
+            object.__setattr__(self, key, _number(key, getattr(self, key)))
 
     def __call__(self, x):
         arr = np.asarray(x, dtype=np.float64)

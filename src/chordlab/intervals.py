@@ -32,10 +32,10 @@ import numpy as np
 RTOL = 1e-9
 
 
-def tolerance(*scales: float) -> float:
-    """Slack for matching inputs of the given magnitudes: RTOL times the
-    largest of them."""
-    return RTOL * max(abs(float(x)) for x in scales)
+def tolerance(scale: float) -> float:
+    """Slack for matching inputs of the magnitude of ``scale``: RTOL
+    times its absolute value."""
+    return RTOL * abs(scale)
 
 
 def whole_ratio(total: float, part: float) -> int:
@@ -52,6 +52,9 @@ class ValidationError(ValueError):
 
 # float() and numpy read a boolean as 0 or 1, and a string or bytes as the number it spells
 _NOT_NUMBERS = (bool, np.bool_, str, bytes)
+# what a message says in place of a number that float() overflows on,
+# such as an integer of hundreds of digits
+_PAST_FLOAT = "a number past the largest float"
 
 
 def _refuse_non_number(key: str, value) -> None:
@@ -66,7 +69,9 @@ def _number(key: str, value) -> float:
     _refuse_non_number(key, value)
     try:
         return float(value)
-    except (TypeError, ValueError, OverflowError):
+    except OverflowError:
+        raise ValueError(f'"{key}" must hold numbers, got {_PAST_FLOAT}') from None
+    except (TypeError, ValueError):
         raise ValueError(f'"{key}" must hold numbers, got {value!r}') from None
 
 
@@ -83,7 +88,10 @@ def _number_column(values, key: str) -> np.ndarray:
         if any(issubclass(t, _NOT_NUMBERS) for t in set(map(type, items))):
             for value in items:
                 _refuse_non_number(key, value)
-    return np.array(values, dtype=np.float64)
+    try:
+        return np.array(values, dtype=np.float64)
+    except OverflowError:
+        raise ValueError(f'"{key}" must hold numbers, got {_PAST_FLOAT}') from None
 
 
 def _number_pairs(rows, key: str, malformed: str) -> np.ndarray:
@@ -110,6 +118,8 @@ def _number_pairs(rows, key: str, malformed: str) -> np.ndarray:
                 return np.array(values, dtype=np.float64).reshape(-1, 2)
     except TypeError:  # a row without a length
         pass
+    except OverflowError:
+        raise ValueError(f'"{key}" must hold numbers, got {_PAST_FLOAT}') from None
     for row in rows:
         values = list(row) if isinstance(row, Iterable) else []
         for value in [row, *values]:
@@ -132,8 +142,11 @@ class Interval:
 
     def __post_init__(self) -> None:
         given_lo, given_hi = self.lo, self.hi
-        lo = float(given_lo)
-        hi = float(given_hi)
+        try:
+            lo = float(given_lo)
+            hi = float(given_hi)
+        except OverflowError:
+            raise ValidationError(f"interval endpoints must be numbers, got {_PAST_FLOAT}") from None
         if lo is not given_lo or hi is not given_hi:
             if isinstance(given_lo, _NOT_NUMBERS) or isinstance(given_hi, _NOT_NUMBERS):
                 raise ValidationError(

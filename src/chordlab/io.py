@@ -17,15 +17,15 @@ pairs with one row per line, indented by four::
 
 Each schema is built once, by a private builder that is told how to
 make its table from two columns, and :func:`format_json` has two paths.
-The command line keeps the columns (``_Table``), which it rounds once
-with :func:`_round12` over the column-stacked array and formats with one
-printf-style call, so no row becomes a Python object.  Every other
-value goes through ``json.dumps``, the lists of the public ``*_to_obj``
-functions among them (:func:`_pairs12` rounds small tables number by
-number and larger ones with the same :func:`_round12`), and a table
-comes out with the same bytes on either path.  A CSV file or a polyline
-is formatted with one call over all its numbers, with the bytes that
-formatting one number at a time would give."""
+The command line's table is an (n, 2) array value, which is rounded once
+with :func:`_round12` and written with one format call, so no row
+becomes a Python object.  Every other value goes through ``json.dumps``,
+the lists of the public ``*_to_obj`` functions among them
+(:func:`_pairs12` rounds small tables number by number and larger ones
+with the same :func:`_round12`), and a table comes out with the same
+bytes on either path.  A CSV file or a polyline is formatted with one
+call over all its numbers, with the bytes that formatting one number at
+a time would give."""
 
 from __future__ import annotations
 
@@ -33,11 +33,10 @@ import json
 import math
 from itertools import chain
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
-from .intervals import ClosedIntervalSet, _number_pairs
+from .intervals import ClosedIntervalSet, _number_column, _number_pairs
 from .oracle import ChordScan
 from .piecewise import PiecewiseLinearFunction
 from .race import RaceProfile
@@ -85,28 +84,14 @@ def _round12(a) -> np.ndarray:
     return m
 
 
-def _table12(a, b) -> np.ndarray:
-    """12-digit [a_i, b_i] rows from two equal-length columns, as one
-    (n, 2) array rounded at once."""
-    return _round12(np.column_stack((a, b)))
-
-
 def _pairs12(a, b) -> list[list[float]]:
     """12-digit [a_i, b_i] rows from two equal-length columns: float
     arrays, or lists of Python floats."""
     if 2 * len(a) > _LOOP_MAX:
-        return _table12(a, b).tolist()
+        return _round12(np.column_stack((a, b))).tolist()
     if isinstance(a, np.ndarray):
         a, b = a.tolist(), b.tolist()
     return [[float(f"{x:.12g}"), float(f"{y:.12g}")] for x, y in zip(a, b)]
-
-
-class _Table(NamedTuple):
-    """A table of 12-digit [a_i, b_i] rows, kept as its two columns until
-    :func:`format_json` rounds and writes it as one array."""
-
-    a: np.ndarray
-    b: np.ndarray
 
 
 def interval_set_to_obj(s: ClosedIntervalSet) -> dict:
@@ -120,11 +105,16 @@ def parse_interval_set(obj: dict) -> ClosedIntervalSet:
     return ClosedIntervalSet.from_pairs(obj["intervals"])
 
 
-# ``table`` makes a schema's table from two columns: a _Table for the
-# command line, or the lists of _pairs12 for the public *_to_obj functions.
+# ``table`` makes a schema's table from two columns: an (n, 2) array
+# (_array) for the command line, or the lists of _pairs12 for the public
+# *_to_obj functions.
 
 
-def _function_obj(f: PiecewiseLinearFunction, table=_Table) -> dict:
+def _array(a, b) -> np.ndarray:
+    return np.column_stack((a, b))
+
+
+def _function_obj(f: PiecewiseLinearFunction, table=_array) -> dict:
     return {"breakpoints": table(f.xs, f.ys)}
 
 
@@ -132,8 +122,8 @@ def function_to_obj(f: PiecewiseLinearFunction) -> dict:
     return _function_obj(f, _pairs12)
 
 
-def _smooth_samples_obj(xs: np.ndarray, ys: np.ndarray, table=_Table) -> dict:
-    xs, ys = np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64)
+def _smooth_samples_obj(xs: np.ndarray, ys: np.ndarray, table=_array) -> dict:
+    xs, ys = _number_column(xs, "xs"), _number_column(ys, "ys")
     return {"kind": "smooth", "samples": table(xs, ys)}
 
 
@@ -162,7 +152,7 @@ def parse_function(obj: dict) -> PiecewiseLinearFunction:
     return PiecewiseLinearFunction._from_owned(pts[:, 0].copy(), pts[:, 1].copy())
 
 
-def _profile_obj(profile: RaceProfile, table=_Table) -> dict:
+def _profile_obj(profile: RaceProfile, table=_array) -> dict:
     pos = profile.position
     return {
         "total_distance": float(f"{profile.total_distance:.12g}"),
@@ -245,13 +235,14 @@ def _rows_text(v: np.ndarray) -> str | None:
 
 def format_json(obj: dict) -> str:
     """JSON text for a top-level object in the layout of this module's
-    docstring, ending in a newline.  A table of a schema builder is
-    rounded to 12 digits and written from its array; every other value,
-    the public lists included, by ``json.dumps``."""
+    docstring, ending in a newline.  An (n, 2) array value, a schema
+    builder's table, is rounded once to 12 digits and written with one
+    format call; every other value, the public lists included, by
+    ``json.dumps``."""
     lines = []
     for key, value in obj.items():
-        if isinstance(value, _Table):
-            value = _table12(*value)
+        if isinstance(value, np.ndarray) and value.shape[1:] == (2,):
+            value = _round12(value)
             text = _rows_text(value) or json.dumps(value.tolist())
         else:
             text = json.dumps(value)
@@ -295,10 +286,7 @@ def svg_for_curves(curves) -> str:
     Hand-rolled so output is byte-for-byte deterministic for identical
     input; plotting libraries embed generated ids and metadata."""
     width, height, pad = 720, 360, 45
-    data = [
-        (np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64))
-        for xs, ys in curves
-    ]
+    data = [(_number_column(xs, "xs"), _number_column(ys, "ys")) for xs, ys in curves]
     if not data:
         raise ValueError("need at least one curve to plot")
     x_lo = min(float(xs.min()) for xs, _ in data)

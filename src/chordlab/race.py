@@ -77,10 +77,9 @@ class RaceProfile:
 
     @classmethod
     def constant(cls, total_distance: float, total_time: float) -> "RaceProfile":
-        """Perfectly even pacing."""
+        """Perfectly even pacing: one split, (L, T)."""
         L, T = _totals(total_distance, total_time)
-        pos = PiecewiseLinearFunction._from_owned(np.array([0.0, T]), np.array([0.0, L]))
-        return cls(L, T, pos)
+        return cls.from_splits(L, T, [(L, T)])
 
     @classmethod
     def from_splits(

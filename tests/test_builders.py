@@ -130,6 +130,11 @@ class TestEvalSmooth:
         inside = eval_smooth(s, 0.0045)
         assert inside == 0.0
         assert math.copysign(1.0, inside) == 1.0
+        # (x - a)(b - x) itself underflows to 0 here, where exp(-1/ab)
+        # would divide by zero
+        val = eval_smooth(ClosedIntervalSet.from_pairs([[0, 1e-200]]), 5e-201)
+        assert val == 0.0
+        assert math.copysign(1.0, val) == 1.0
 
     def test_bitwise_equal_to_reference(self, sawtooth_set):
         # per-point reference from the pairs alone: the same floating-point

@@ -59,6 +59,8 @@ class TestParseDuration:
         for bad in ("", "1:2:3:4", "abc", "1::2", "-5"):
             with pytest.raises(ValueError):
                 parse_duration(bad)
+        with pytest.raises(ValueError, match="^duration must be positive, got '0:00'$"):
+            parse_duration("0:00")
 
     @pytest.mark.parametrize("text", ["nan", "inf", "1e400", "10:nan", "-inf", "1e307:0"])
     def test_rejects_non_finite(self, text):

@@ -12,6 +12,7 @@ from chordlab import (
     Interval,
     PiecewiseLinearFunction,
     RaceProfile,
+    SmoothFunction,
     SmoothShapeSpec,
     ValidationError,
     build_adversarial_profile,
@@ -21,6 +22,10 @@ from chordlab import (
     find_average_split,
     has_horizontal_chord,
     is_additive,
+    parse_function,
+    parse_profile,
+    smooth_samples_to_obj,
+    svg_for_curves,
     to_chord_problem,
     tolerance,
     validate_chord_spec,
@@ -107,6 +112,8 @@ class TestClosedIntervalSet:
     def test_must_start_at_zero(self):
         with pytest.raises(ValidationError, match="start at 0"):
             ClosedIntervalSet.from_pairs([[0.5, 1.0]])
+        # a first lo within the tolerance of sup is snapped to 0
+        assert ClosedIntervalSet.from_pairs([[1e-12, 1.0]]).intervals[0] == Interval(0.0, 1.0)
 
     def test_rejects_overlap(self):
         with pytest.raises(ValidationError, match="overlap"):
@@ -125,6 +132,8 @@ class TestClosedIntervalSet:
             ClosedIntervalSet.from_pairs([[0, 1, 2]])
         with pytest.raises(ValidationError):
             ClosedIntervalSet.from_pairs("nope")
+        with pytest.raises(ValidationError, match="^interval set must contain at least one interval$"):
+            ClosedIntervalSet.from_pairs([])
 
     def test_zero_singleton(self):
         s = ClosedIntervalSet.from_pairs([[0, 0]])
@@ -191,6 +200,8 @@ class TestValidateChordSpec:
         assert not report.ok
         assert report.interval_set is None
         assert "structure" in report.summary()
+        report = validate_chord_spec([1, 2])
+        assert report.checks[0].detail == "could not parse interval pairs: 'int' object is not iterable"
 
     def test_overlong_interval_fails(self):
         # an interval longer than the gap infimum breaks additivity, which
@@ -379,6 +390,8 @@ _GATED = [
     ("h", lambda v: build_levy(2.5, v)),
     ("period", lambda v: SmoothShapeSpec("sin_squared", period=v)),
     ("amplitude", lambda v: SmoothShapeSpec("sin_squared", amplitude=v)),
+    ("x_min", lambda v: SmoothFunction(np.sin, v, 1.0)),
+    ("x_max", lambda v: SmoothFunction(np.sin, 0.0, v)),
 ]
 
 
@@ -393,3 +406,41 @@ def test_every_scalar_parameter_keeps_the_number_rule(key, call, value):
     with pytest.raises(ValueError) as info:
         call(value)
     assert str(info.value) == f'"{key}" must hold numbers, got {value!r}'
+
+
+_PAST_FLOAT = "a number past the largest float"
+
+# every reader of a column or of rows of numbers, with the message it gives
+# for an integer that float() overflows on
+_READERS = [
+    ("xs", lambda v: PiecewiseLinearFunction([0, v], [0, 1])),
+    ("breakpoints", lambda v: PiecewiseLinearFunction.from_breakpoints([[0, 0], [v, 1]])),
+    ("splits", lambda v: RaceProfile.from_splits(3, 10, [[v, 10]])),
+    ("samples", lambda v: parse_function({"samples": [[0, 0], [1, v]]})),
+    ("splits", lambda v: parse_profile({"total_distance": 3, "total_time": 10, "splits": [[3, v]]})),
+    ("xs", lambda v: smooth_samples_to_obj([0, v], [0, 1])),
+    ("ys", lambda v: svg_for_curves([([0, 1], [0, v])])),
+]
+
+
+@pytest.mark.parametrize("value", [10**400, 10**5000], ids=["400-digits", "5000-digits"])
+@pytest.mark.parametrize(
+    "key, call", _GATED + _READERS, ids=[f"{i}-{key}" for i, (key, _) in enumerate(_GATED + _READERS)]
+)
+def test_an_integer_past_the_float_range_is_one_short_error(key, call, value):
+    # float() raises OverflowError for it, and its repr runs to hundreds of
+    # digits or, past 4300, raises a ValueError of its own
+    with pytest.raises(ValueError) as info:
+        call(value)
+    assert str(info.value) == f'"{key}" must hold numbers, got {_PAST_FLOAT}'
+
+
+@pytest.mark.parametrize("value", [10**400, 10**5000], ids=["400-digits", "5000-digits"])
+def test_an_endpoint_past_the_float_range_is_a_structure_failure(value):
+    message = f"interval endpoints must be numbers, got {_PAST_FLOAT}"
+    with pytest.raises(ValidationError) as info:
+        Interval(0, value)
+    assert str(info.value) == message
+    report = validate_chord_spec([[0, value]])
+    assert report.interval_set is None
+    assert report.summary() == f"structure: FAIL ({message})\nnot a valid chord set"

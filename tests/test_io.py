@@ -20,7 +20,6 @@ from chordlab import (
 from chordlab.io import (
     _pairs12,
     _round12,
-    _Table,
     function_to_obj,
     interval_set_to_obj,
     load_json,
@@ -83,6 +82,16 @@ class TestFunctionJson:
         f = parse_function(obj)
         assert f(0.5) == 0.25
 
+    def test_samples_refuse_booleans_and_strings(self):
+        # np.asarray reads both columns as numbers
+        for xs, ys, message in (
+            ([True, False], [1.0, 2.0], '"xs" must hold numbers, got True'),
+            ([0.0, 1.0], ["1", "2"], "\"ys\" must hold numbers, got '1'"),
+        ):
+            with pytest.raises(ValueError) as info:
+                smooth_samples_to_obj(xs, ys)
+            assert str(info.value) == message
+
     def test_errors(self):
         with pytest.raises(ValueError, match="breakpoints.*samples"):
             parse_function({"stuff": []})
@@ -116,6 +125,10 @@ class TestProfileJson:
     def test_missing_keys(self):
         with pytest.raises(ValueError, match='"total_time"'):
             parse_profile({"total_distance": 1.0, "splits": []})
+        with pytest.raises(ValueError, match="^profile object must be a JSON object$"):
+            parse_profile([1])
+        with pytest.raises(ValueError, match=r'^"splits" must be a list of \[distance, time\] pairs$'):
+            parse_profile({"total_distance": 1.0, "total_time": 1.0, "splits": "x"})
 
     def test_bad_totals(self):
         with pytest.raises(ValueError, match="numbers"):
@@ -297,6 +310,15 @@ class TestSvg:
         xs = np.array([1.0, 1.0 + 0.0])
         svg = svg_for_curves([(xs, xs * 0.0)])
         assert "<polyline" in svg
+
+    def test_curves_refuse_booleans_and_strings(self):
+        for curve, message in (
+            (([True, False], [1.0, 2.0]), '"xs" must hold numbers, got True'),
+            (([0.0, 1.0], ["1", "2"]), "\"ys\" must hold numbers, got '1'"),
+        ):
+            with pytest.raises(ValueError) as info:
+                svg_for_curves([([0.0, 1.0], [0.0, 1.0]), curve])
+            assert str(info.value) == message
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="at least one curve"):
@@ -487,7 +509,7 @@ class TestBulkWritersMatchPerNumberCode:
         # rounded once as an array and written from it: the bytes of the
         # public lists, also for an empty or a non-finite table
         a, b = np.array(rows, dtype=np.float64).reshape(-1, 2).T
-        obj = {"total": 3.0, "splits": _Table(a, b)}
+        obj = {"total": 3.0, "splits": np.column_stack((a, b))}
         assert format_json(obj) == _oracle_format_json({"total": 3.0, "splits": _pairs12(a, b)})
 
     def test_format_json_leaves_other_tables_to_json(self):

@@ -43,6 +43,9 @@ def test_from_breakpoints():
     assert f(0.5) == 1.0
     with pytest.raises(ValueError, match=r"\(n, 2\)"):
         PiecewiseLinearFunction.from_breakpoints([0, 1, 2])
+    # rows without a length are read one by one
+    with pytest.raises(ValueError, match=r"^breakpoints must be an \(n, 2\) array of \[x, y\] rows$"):
+        PiecewiseLinearFunction.from_breakpoints([iter((0, 0)), iter((1, 1))])
 
 
 @pytest.mark.parametrize(

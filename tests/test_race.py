@@ -1,5 +1,6 @@
 import time
 import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -70,6 +71,8 @@ class TestRaceProfile:
     def test_constant(self):
         p = RaceProfile.constant(10.0, 2400.0)
         assert p.position(1200.0) == pytest.approx(5.0)
+        # float() reads a Decimal total, as RaceProfile and from_splits do
+        assert RaceProfile.constant(Decimal(10), 2400).position.ys.tolist() == [0.0, 10.0]
 
     def test_inverse(self, half_marathon):
         inv = half_marathon.inverse
@@ -95,6 +98,9 @@ class TestRaceProfile:
     def test_rejects_wrong_final_split(self):
         with pytest.raises(ValueError, match="final split"):
             RaceProfile.from_splits(3.0, 1080.0, [(1.0, 330.0), (2.9, 1080.0)])
+        for splits in ([], [(0, 0)]):
+            with pytest.raises(ValueError, match="^need at least one split beyond the start$"):
+                RaceProfile.from_splits(10, 100, splits)
 
     @pytest.mark.parametrize(
         "splits, shown",
@@ -145,6 +151,10 @@ class TestRaceProfile:
         pos = PiecewiseLinearFunction(np.array([0.0, 100.0]), np.array([0.0, 2.0]))
         with pytest.raises(ValueError, match="span"):
             RaceProfile(2.0, 200.0, pos)
+        with pytest.raises(ValueError, match="^position must have at least one segment$"):
+            RaceProfile(10, 100, PiecewiseLinearFunction([0], [0]))
+        with pytest.raises(ValueError, match="^position must climb from 0 to 10, got 0 to 5$"):
+            RaceProfile(10, 100, PiecewiseLinearFunction([0, 100], [0, 5]))
 
 
 class TestWindowTimeExtrema:
