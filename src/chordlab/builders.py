@@ -33,6 +33,7 @@ from .intervals import (
     ClosedIntervalSet,
     ValidationError,
     _number,
+    _points,
     tolerance,
     validate_chord_spec,
     whole_ratio,
@@ -65,7 +66,7 @@ class SmoothShapeSpec:
             object.__setattr__(self, key, value)
 
     def __call__(self, x):
-        u = np.asarray(x, dtype=np.float64)
+        u = _points(x)
         scalar = u.ndim == 0
         # ** 2 of a 0-d value can differ in the last bit from the array's square
         u = np.atleast_1d(u)
@@ -100,7 +101,7 @@ class SmoothFunction:
             object.__setattr__(self, key, _number(key, getattr(self, key)))
 
     def __call__(self, x):
-        arr = np.asarray(x, dtype=np.float64)
+        arr = _points(x)
         out = np.asarray(self.fn(arr), dtype=np.float64)
         return float(out) if arr.ndim == 0 else out
 
@@ -168,7 +169,7 @@ def eval_smooth(s: ClosedIntervalSet, x):
     only when s is admissible, which :func:`smooth_chord_function` and
     :func:`build_hopf` check.
     """
-    arr = np.asarray(x, dtype=np.float64)
+    arr = _points(x)
     out = np.empty(arr.size)
     for i, xv in enumerate(arr.ravel().tolist()):
         sign, a, b = s.locate(xv)
@@ -204,7 +205,7 @@ def build_levy(
     w = _number("total_width", total_width)
     h = _number("h", h)
     if not (math.isfinite(w) and math.isfinite(h)) or h <= 0 or w <= h:
-        raise ValueError(f"need total width > h > 0, got width {total_width!r}, h {h!r}")
+        raise ValueError(f"need total width > h > 0, got width {w!r}, h {h!r}")
     if shape is None:
         shape = SmoothShapeSpec("triangle_wave", period=h, amplitude=1.0)
     if abs(shape.period - h) > tolerance(h):

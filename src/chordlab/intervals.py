@@ -57,41 +57,60 @@ _NOT_NUMBERS = (bool, np.bool_, str, bytes)
 _PAST_FLOAT = "a number past the largest float"
 
 
-def _refuse_non_number(key: str, value) -> None:
-    if isinstance(value, _NOT_NUMBERS):
-        raise ValueError(f'"{key}" must hold numbers, got {value!r}')
+def _past_float(key: str) -> ValueError:
+    return ValueError(f'"{key}" must hold numbers, got {_PAST_FLOAT}')
+
+
+def _real_types(types: set) -> bool:
+    """Whether every type in ``types`` is a real number other than a
+    boolean; floats and ints, all that JSON gives, are tested first."""
+    return types <= {float, int} or all(issubclass(t, Real) and t is not bool for t in types)
 
 
 def _number(key: str, value) -> float:
     """A caller's scalar parameter ``key`` as a float; a boolean, string,
     bytes or anything float() cannot read is refused.  Point evaluation,
-    once per point, reads its points with a bare float() instead."""
-    _refuse_non_number(key, value)
+    once per point, reads its points with a bare float() or np.asarray
+    instead, and refuses only what they overflow on."""
+    if isinstance(value, _NOT_NUMBERS):
+        raise ValueError(f'"{key}" must hold numbers, got {value!r}')
     try:
         return float(value)
     except OverflowError:
-        raise ValueError(f'"{key}" must hold numbers, got {_PAST_FLOAT}') from None
+        raise _past_float(key) from None
     except (TypeError, ValueError):
         raise ValueError(f'"{key}" must hold numbers, got {value!r}') from None
+
+
+def _points(x) -> np.ndarray:
+    """Points to evaluate at, read with a bare np.asarray as float64; a
+    number past the float range is refused with the words of
+    :func:`_number`."""
+    try:
+        return np.asarray(x, dtype=np.float64)
+    except OverflowError:
+        raise _past_float("x") from None
 
 
 def _number_column(values, key: str) -> np.ndarray:
     """``values`` as a new float64 array.  An array of numeric dtype holds
     no boolean or string; any other column has the types of its values
-    read as a set, and a boolean, string or bytes among them is refused by
-    :func:`_refuse_non_number`."""
+    read as a set, and if one is not a real number other than a boolean,
+    each value of such a type is read by :func:`_number`, which refuses
+    the first boolean, string, bytes or value that float() cannot read."""
     if not (isinstance(values, np.ndarray) and values.dtype.kind in "iuf"):
         # np.asarray([0, True]) is an int array, so a list is typed by value
         items = values.tolist() if isinstance(values, np.ndarray) else values
         if isinstance(items, _NOT_NUMBERS) or not isinstance(items, Iterable):
             items = [items]
-        if any(issubclass(t, _NOT_NUMBERS) for t in set(map(type, items))):
+        if not _real_types(set(map(type, items))):
             for value in items:
-                _refuse_non_number(key, value)
+                if not _real_types({type(value)}):
+                    _number(key, value)
     try:
         return np.array(values, dtype=np.float64)
     except OverflowError:
-        raise ValueError(f'"{key}" must hold numbers, got {_PAST_FLOAT}') from None
+        raise _past_float(key) from None
 
 
 def _number_pairs(rows, key: str, malformed: str) -> np.ndarray:
@@ -100,7 +119,8 @@ def _number_pairs(rows, key: str, malformed: str) -> np.ndarray:
     types, unless every value is a float) are read as sets, and the values
     by one np.array, with no Python loop.
     Only if that fails are the rows read one by one: the first that is not
-    a pair of real numbers is refused by :func:`_refuse_non_number`, or
+    a pair of real numbers is refused by :func:`_number`, when it or one
+    of its values is a non-number or a number past the float range, or
     else with ``malformed`` formatted with ``key`` and that ``row``."""
     if isinstance(rows, np.ndarray) and rows.dtype.kind in "iuf" and rows.shape[1:] == (2,):
         return rows.astype(np.float64, copy=False)
@@ -109,21 +129,21 @@ def _number_pairs(rows, key: str, malformed: str) -> np.ndarray:
         if set(map(len, rows)) <= {2}:
             values = list(chain.from_iterable(rows))
             types = set(map(type, values))
-            # floats and ints, all that JSON gives, are tested first; a bytes
-            # row reads as ints, so the rows are typed only if not all floats
+            # a bytes row reads as ints, so the rows are typed only if not all floats
             if types <= {float} or (
-                (types <= {float, int} or all(issubclass(t, Real) and t is not bool for t in types))
+                _real_types(types)
                 and not any(issubclass(t, _NOT_NUMBERS) for t in set(map(type, rows)))
             ):
                 return np.array(values, dtype=np.float64).reshape(-1, 2)
     except TypeError:  # a row without a length
         pass
     except OverflowError:
-        raise ValueError(f'"{key}" must hold numbers, got {_PAST_FLOAT}') from None
+        raise _past_float(key) from None
     for row in rows:
         values = list(row) if isinstance(row, Iterable) else []
         for value in [row, *values]:
-            _refuse_non_number(key, value)
+            if isinstance(value, (Real, *_NOT_NUMBERS)):
+                _number(key, value)  # refuses a non-number, and a number past the float range
         if len(values) != 2 or not all(isinstance(v, Real) for v in values):
             raise ValueError(malformed.format(key=key, row=row))
     raise ValueError(malformed.format(key=key, row=rows))
@@ -230,23 +250,6 @@ class ClosedIntervalSet:
             los[0] = 0.0
         self._index(tuple(converted), los, his)
 
-    @classmethod
-    def _from_bounds(cls, los: list[float], his: list[float]) -> "ClosedIntervalSet":
-        """The set of the intervals [los[k], his[k]] with no checks: the
-        caller guarantees all that they test, as a chord set's join does.
-        The bounds are finite floats, each lo <= hi, each hi lies below
-        the next lo, and los[0] is 0.0."""
-        new, set_ = object.__new__, object.__setattr__
-        intervals = []
-        for lo, hi in zip(los, his):
-            iv = new(Interval)
-            set_(iv, "lo", lo)
-            set_(iv, "hi", hi)
-            intervals.append(iv)
-        s = cls.__new__(cls)
-        s._index(tuple(intervals), los, his)
-        return s
-
     def _index(self, intervals: tuple[Interval, ...], los: list[float], his: list[float]) -> None:
         # the intervals, and what locate and is_additive read from them
         object.__setattr__(self, "intervals", intervals)
@@ -285,7 +288,10 @@ class ClosedIntervalSet:
         neighbouring boundary points and the sign is +1 inside an interval,
         -1 in a gap.  Raises ValidationError outside [0, sup].
         """
-        x = float(x)
+        try:
+            x = float(x)
+        except OverflowError:
+            raise _past_float("x") from None
         if not -self._slack <= x <= self.sup + self._slack:
             raise ValidationError(
                 f"point {x:g} is outside the domain [0, {self.sup:g}] of the set"
@@ -300,7 +306,10 @@ class ClosedIntervalSet:
         return self._signs[i - 1], a, b
 
     def contains(self, x: float) -> bool:
-        x = float(x)
+        try:
+            x = float(x)
+        except OverflowError:
+            raise _past_float("x") from None
         return -self._slack <= x <= self.sup + self._slack and self.locate(x)[0] >= 0
 
     def to_pairs(self) -> list[list[float]]:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .intervals import ClosedIntervalSet, _number, is_additive, tolerance
+from .intervals import ClosedIntervalSet, Interval, _number, is_additive, tolerance
 from .piecewise import PiecewiseLinearFunction
 
 
@@ -226,12 +226,11 @@ def chord_set(f: PiecewiseLinearFunction) -> ClosedIntervalSet:
     lengths, so they are not worked.  Sorting the pieces by their lowest
     value finds each piece's partners as one run of that order, and the
     cells are worked in blocks of at most 2^10, which bounds memory.  On
-    top of that each call pays a small fixed part, about 50 us on a tent
-    of two pieces on a shared 2-CPU host: a few dozen numpy calls and
-    the set's construction from the join's bounds, which are not checked
-    again."""
+    top of that each call pays a small fixed part: a few dozen numpy
+    calls, and the set's construction from the join's bounds through the
+    checked constructor, as for any caller's set."""
     lo, hi = _chord_bounds(f)
-    return ClosedIntervalSet._from_bounds(lo.tolist(), hi.tolist())
+    return ClosedIntervalSet(tuple(map(Interval, lo.tolist(), hi.tolist())))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .intervals import _number, _number_column, _number_pairs, tolerance
+from .intervals import _number, _number_column, _number_pairs, _past_float, tolerance
 
 _FIRST_BLOCK = 1024  # breakpoints of f in the first block of a shift difference
 
@@ -98,7 +98,10 @@ class PiecewiseLinearFunction:
         return np.column_stack([self.xs, self.ys])
 
     def __call__(self, x):
-        out = np.interp(x, self._xs, self._ys)
+        try:
+            out = np.interp(x, self._xs, self._ys)
+        except OverflowError:
+            raise _past_float("x") from None
         if np.isscalar(x) or np.ndim(x) == 0:
             return float(out)
         return out

@@ -29,9 +29,9 @@ def _totals(total_distance, total_time) -> tuple[float, float]:
     L = _number("total_distance", total_distance)
     T = _number("total_time", total_time)
     if not (math.isfinite(L) and L > 0):
-        raise ValueError(f"total distance must be positive, got {total_distance!r}")
+        raise ValueError(f"total distance must be positive and finite, got {L:g}")
     if not (math.isfinite(T) and T > 0):
-        raise ValueError(f"total time must be positive, got {total_time!r}")
+        raise ValueError(f"total time must be positive and finite, got {T:g}")
     return L, T
 
 
@@ -154,6 +154,15 @@ def _check_window_distance(L: float, d) -> float:
     return min(d, L)
 
 
+def _check_time_scale(lam: float, T: float) -> float:
+    """lam / T, the chord problem's units per unit of time for lam = L/d,
+    refused when it overflows."""
+    scale = lam / T
+    if not math.isfinite(scale):
+        raise ValueError(f"(L/d)/T = {lam:g}/{T:g} overflows; the total time is too short")
+    return scale
+
+
 def window_time_extrema(profile: RaceProfile, d: float) -> WindowExtrema:
     """Fastest and slowest time over any sub-interval covering distance d.
 
@@ -180,9 +189,7 @@ def to_chord_problem(profile: RaceProfile, d: float) -> PiecewiseLinearFunction:
     d = _check_window_distance(L, d)
     T = profile.total_time
     lam = whole_ratio(L, d) or L / d
-    scale = lam / T
-    if not math.isfinite(scale):
-        raise ValueError(f"(L/d)/T = {lam:g}/{T:g} overflows; the total time is too short")
+    scale = _check_time_scale(lam, T)
     us = profile.position.xs * scale
     ys = us * d
     np.subtract(profile.position.ys, ys, out=ys)
@@ -247,6 +254,7 @@ def from_chord_function(
     L, T = _totals(total_distance, total_time)
     d = _check_window_distance(L, d)
     lam = L / d
+    _check_time_scale(lam, T)
     u_tol = tolerance(lam)
     if abs(g.width - lam) > u_tol or abs(g.x_min) > u_tol:
         raise ValueError(
@@ -298,14 +306,8 @@ def build_adversarial_profile(
     within about 2e-8 n of n it drowns in rounding and a ValueError
     points to the triangle wave, whose increment is linear in it.
     """
-    L = _number("total_distance", total_distance)
-    T = _number("total_time", total_time)
-    d = _number("d", d)
-    if not (L > 0 and T > 0 and d > 0 and all(map(math.isfinite, (L, T, L / d, L / d / T)))):
-        raise ValueError(
-            "total distance, total time, and window distance must be positive, "
-            f"with L, T, L/d and (L/d)/T finite; got L = {L:g}, T = {T:g}, d = {d:g}"
-        )
+    L, T = _totals(total_distance, total_time)
+    d = _check_window_distance(L, d)
     ratio = L / d
     if ratio <= 1.0:
         raise ValueError(

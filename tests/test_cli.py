@@ -3,7 +3,11 @@ import csv
 import gc
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +23,7 @@ from chordlab import (
     smooth_chord_function,
     smooth_samples_to_obj,
 )
+import chordlab
 from chordlab import cli, oracle
 from chordlab.cli import build_parser, main, parse_duration
 from chordlab.io import format_json
@@ -120,6 +125,33 @@ class TestValidate:
         captured = capsys.readouterr()
         assert captured.out == f"{report}\nnot a valid chord set\n"
         assert captured.err == ""
+
+
+def _run_module(*args: str) -> subprocess.CompletedProcess:
+    """``python -m chordlab`` with ``args``, importing this chordlab."""
+    env = dict(os.environ)
+    src = str(Path(chordlab.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "chordlab", *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+
+
+class TestModuleEntryPoint:
+    def test_validate_exits_0(self, spec_path):
+        proc = _run_module("validate", spec_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.endswith("\nvalid chord set\n")
+
+    def test_unknown_command_exits_2_with_usage(self):
+        proc = _run_module("nosuch")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("usage: chordlab")
 
 
 class TestConstruct:
@@ -402,8 +434,9 @@ class TestOverflowingInputs:
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: total distance, total time, and window distance")
-        assert "(L/d)/T finite" in captured.err and captured.err.count("\n") == 1
+        assert captured.err == (
+            "error: (L/d)/T = 3.33333/9.99989e-321 overflows; the total time is too short\n"
+        )
 
     def test_race_exists_split_with_a_subnormal_time(self, tmp_path, capsys):
         path = tmp_path / "p.json"

@@ -1,5 +1,6 @@
 import inspect
 import time
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -18,12 +19,14 @@ from chordlab import (
     build_adversarial_profile,
     build_levy,
     chord_set_scan,
+    eval_smooth,
     exists_average_split,
     find_average_split,
     has_horizontal_chord,
     is_additive,
     parse_function,
     parse_profile,
+    smooth_chord_function,
     smooth_samples_to_obj,
     svg_for_curves,
     to_chord_problem,
@@ -444,3 +447,94 @@ def test_an_endpoint_past_the_float_range_is_a_structure_failure(value):
     report = validate_chord_spec([[0, value]])
     assert report.interval_set is None
     assert report.summary() == f"structure: FAIL ({message})\nnot a valid chord set"
+
+
+# every reader of a column of numbers, with the column's key
+_COLUMNS = [
+    ("ys", lambda v: PiecewiseLinearFunction([0, 1], [0, v])),
+    ("xs", lambda v: smooth_samples_to_obj([0, v], [0, 1])),
+    ("ys", lambda v: svg_for_curves([([0, 1], [0, v])])),
+]
+
+
+@pytest.mark.parametrize("value", [None, 1j, {}], ids=["None", "complex", "dict"])
+@pytest.mark.parametrize(
+    "key, call", _COLUMNS, ids=[f"{i}-{key}" for i, (key, _) in enumerate(_COLUMNS)]
+)
+def test_a_column_refuses_what_the_gate_refuses(key, call, value):
+    # np.array reads None as NaN, and raises TypeError for 1j and {}
+    with pytest.raises(ValueError) as info:
+        call(value)
+    assert str(info.value) == f'"{key}" must hold numbers, got {value!r}'
+
+
+def test_a_column_reads_decimals_and_numeric_arrays():
+    f = PiecewiseLinearFunction([Decimal(0), Decimal("0.5")], np.array([0, 1], dtype=np.int32))
+    assert f.xs.tolist() == [0.0, 0.5] and f.ys.tolist() == [0.0, 1.0]
+    with pytest.raises(ValueError, match='^"ys" must hold numbers, got None$'):
+        PiecewiseLinearFunction([0, 1], np.array([0, None], dtype=object))
+
+
+_SET = ClosedIntervalSet.from_pairs([[0, 1]])
+
+# every point evaluation, each of which reads its points with a bare
+# float(), np.asarray or np.interp
+_POINT_CALLS = {
+    "locate": lambda v: _SET.locate(v),
+    "contains": lambda v: _SET.contains(v),
+    "eval_smooth": lambda v: eval_smooth(_SET, v),
+    "eval_smooth-array": lambda v: eval_smooth(_SET, [0.5, v]),
+    "smooth-function": lambda v: smooth_chord_function(_SET)(v),
+    "shape": lambda v: SmoothShapeSpec("sin_squared")(v),
+    "piecewise": lambda v: _F(v),
+    "piecewise-array": lambda v: _F([0.5, v]),
+}
+
+
+@pytest.mark.parametrize("value", [10**400, 10**5000], ids=["400-digits", "5000-digits"])
+@pytest.mark.parametrize("call", _POINT_CALLS.values(), ids=_POINT_CALLS.keys())
+def test_a_point_past_the_float_range_is_one_short_error(call, value):
+    # float() and numpy raise OverflowError for it
+    with pytest.raises(ValueError) as info:
+        call(value)
+    assert str(info.value) == f'"x" must hold numbers, got {_PAST_FLOAT}'
+
+
+# every reader of rows, with a malformed row
+_ROW_CALLS = [
+    ("splits", lambda row: RaceProfile.from_splits(3, 10, [row])),
+    ("breakpoints", lambda row: PiecewiseLinearFunction.from_breakpoints([row])),
+    ("samples", lambda row: parse_function({"samples": [row]})),
+    ("splits", lambda row: parse_profile({"total_distance": 3, "total_time": 10, "splits": [row]})),
+]
+
+
+@pytest.mark.parametrize("value", [10**400, 10**5000], ids=["400-digits", "5000-digits"])
+@pytest.mark.parametrize(
+    "key, call", _ROW_CALLS, ids=[f"{i}-{key}" for i, (key, _) in enumerate(_ROW_CALLS)]
+)
+def test_a_malformed_row_past_the_float_range_is_one_short_error(key, call, value):
+    # the malformed-row message would hold the row's repr
+    for row in ([value, None], [value, 1, 2], value):
+        with pytest.raises(ValueError) as info:
+            call(row)
+        assert str(info.value) == f'"{key}" must hold numbers, got {_PAST_FLOAT}'
+
+
+_TOTALS = [(key, call) for key, call in _GATED if key in ("total_distance", "total_time")]
+
+
+@pytest.mark.parametrize("value, shown", [(-(10**300), "-1e+300"), (0, "0"), (float("inf"), "inf")])
+@pytest.mark.parametrize(
+    "key, call", _TOTALS, ids=[f"{i}-{key}" for i, (key, _) in enumerate(_TOTALS)]
+)
+def test_a_total_that_is_not_positive_shows_the_float_read(key, call, value, shown):
+    with pytest.raises(ValueError) as info:
+        call(value)
+    what = key.replace("_", " ")
+    assert str(info.value) == f"{what} must be positive and finite, got {shown}"
+
+
+def test_a_width_not_above_h_shows_the_float_read():
+    with pytest.raises(ValueError, match=r"^need total width > h > 0, got width -1e\+300, h 1.0$"):
+        build_levy(-(10**300), 1)

@@ -632,7 +632,8 @@ def test_left_out_cells_give_only_zero_and_flat_pieces_own_lengths(kind, seed):
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(_KINDS), st.integers(min_value=0, max_value=2**32 - 1))
 def test_chord_bounds_hold_what_the_set_does_not_check(kind, seed):
-    # chord_set builds its set from these bounds with no checks
+    # the guarantees of the join's bounds, which ClosedIntervalSet checks
+    # again as chord_set builds its set from them
     f = _chord_set_input(kind, np.random.default_rng(seed))
     los, his = oracle_mod._chord_bounds(f)
     assert los.dtype == his.dtype == np.float64

@@ -428,6 +428,18 @@ class TestFromChordFunction:
         with pytest.raises(ValueError, match="vanish"):
             from_chord_function(g, 5.0, 1000.0, 2.0)
 
+    def test_refuses_a_time_scale_that_overflows(self):
+        # T / (L/d) underflows to 0, which put every time at 0; the scale
+        # is refused as to_chord_problem refuses it
+        g = PiecewiseLinearFunction(np.array([0.0, 10 / 3]), np.array([0.0, 0.0]))
+        message = "(L/d)/T = 3.33333/4.94066e-324 overflows; the total time is too short"
+        with pytest.raises(ValueError) as info:
+            from_chord_function(g, 10, 5e-324, 3)
+        assert str(info.value) == message
+        with pytest.raises(ValueError) as info:
+            build_adversarial_profile(10, 5e-324, 3)
+        assert str(info.value) == message
+
 
 class TestBuildAdversarialProfile:
     def test_triangle_golden(self):
@@ -513,7 +525,7 @@ class TestBuildAdversarialProfile:
     def test_window_must_be_smaller(self):
         with pytest.raises(ValueError, match="strictly less"):
             build_adversarial_profile(2.0, 1200.0, 2.0)
-        with pytest.raises(ValueError, match="strictly less"):
+        with pytest.raises(ValueError, match="^window distance 2 exceeds the total distance 1$"):
             build_adversarial_profile(1.0, 1200.0, 2.0)
 
 
