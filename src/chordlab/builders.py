@@ -110,9 +110,12 @@ class SmoothFunction:
         return self.x_max - self.x_min
 
     def sample(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        if n < 2:
-            raise ValueError(f"need at least 2 sample points, got {n}")
-        xs = np.linspace(self.x_min, self.x_max, int(n))
+        count = _number("n", n)
+        if count < 2:
+            raise ValueError(f"need at least 2 sample points, got {count:g}")
+        if not count.is_integer():
+            raise ValueError(f"the sample count must be a whole number, got {count:g}")
+        xs = np.linspace(self.x_min, self.x_max, int(count))
         return xs, self(xs)
 
     def to_piecewise(self, n: int = 4097) -> PiecewiseLinearFunction:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence, Sized
 from dataclasses import dataclass, field
 from itertools import chain
 from numbers import Real
@@ -118,10 +118,12 @@ def _number_pairs(rows, key: str, malformed: str) -> np.ndarray:
     ``rows`` itself: the rows' lengths and the values' types (and the rows'
     types, unless every value is a float) are read as sets, and the values
     by one np.array, with no Python loop.
-    Only if that fails are the rows read one by one: the first that is not
-    a pair of real numbers is refused by :func:`_number`, when it or one
-    of its values is a non-number or a number past the float range, or
-    else with ``malformed`` formatted with ``key`` and that ``row``."""
+    Only if that fails are the rows read one by one, each value as
+    :func:`_number` reads it, so a ``Decimal`` is a number here too.  The
+    first row that is not a pair of numbers is refused by _number, when it
+    or one of its values is a boolean, string, bytes or a number past the
+    float range, or else with ``malformed`` formatted with ``key`` and that
+    ``row``, shown with each number as the float read."""
     if isinstance(rows, np.ndarray) and rows.dtype.kind in "iuf" and rows.shape[1:] == (2,):
         return rows.astype(np.float64, copy=False)
     rows = rows if isinstance(rows, (list, tuple)) else list(rows)
@@ -139,14 +141,40 @@ def _number_pairs(rows, key: str, malformed: str) -> np.ndarray:
         pass
     except OverflowError:
         raise _past_float(key) from None
+    pairs = []
     for row in rows:
-        values = list(row) if isinstance(row, Iterable) else []
-        for value in [row, *values]:
-            if isinstance(value, (Real, *_NOT_NUMBERS)):
-                _number(key, value)  # refuses a non-number, and a number past the float range
-        if len(values) != 2 or not all(isinstance(v, Real) for v in values):
-            raise ValueError(malformed.format(key=key, row=row))
-    raise ValueError(malformed.format(key=key, row=rows))
+        iterable = isinstance(row, Iterable) and not isinstance(row, _NOT_NUMBERS)
+        items = list(row) if iterable else [row]
+        read = [_row_value(key, value) for value in items]
+        if iterable and isinstance(row, Sized) and len(read) == 2 and None not in read:
+            pairs.append(read)
+            continue
+        if not iterable:
+            shown = _shown(row, read[0])
+        elif isinstance(row, Sized):
+            shown = f"[{', '.join(map(_shown, items, read))}]"
+        else:  # an iterator, whose repr would hold its address
+            shown = f"a {type(row).__name__}"
+        raise ValueError(malformed.format(key=key, row=shown))
+    return np.array(pairs, dtype=np.float64).reshape(-1, 2)
+
+
+def _row_value(key: str, value) -> float | None:
+    """``value`` as :func:`_number` reads it, or None, for a malformed
+    row, where _number would refuse something other than a boolean,
+    string, bytes or a number past the float range."""
+    if isinstance(value, _NOT_NUMBERS):
+        _number(key, value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise _past_float(key) from None
+    except (TypeError, ValueError):
+        return None
+
+
+def _shown(value, read: float | None) -> str:
+    return repr(value) if read is None else f"{read:g}"
 
 
 @dataclass(frozen=True)
@@ -182,17 +210,6 @@ class Interval:
             if lo < 0.0:
                 raise ValidationError(f"interval [{lo:g}, {hi:g}] has a negative endpoint")
             raise ValidationError(f"interval [{lo:g}, {hi:g}] is reversed (hi < lo)")
-
-    @property
-    def length(self) -> float:
-        return self.hi - self.lo
-
-    @property
-    def degenerate(self) -> bool:
-        return self.hi == self.lo
-
-    def contains(self, x: float) -> bool:
-        return self.lo <= x <= self.hi
 
 
 @dataclass(frozen=True)
@@ -248,11 +265,8 @@ class ClosedIntervalSet:
         if los[0] != 0.0:
             converted[0] = Interval(0.0, his[0])
             los[0] = 0.0
-        self._index(tuple(converted), los, his)
-
-    def _index(self, intervals: tuple[Interval, ...], los: list[float], his: list[float]) -> None:
         # the intervals, and what locate and is_additive read from them
-        object.__setattr__(self, "intervals", intervals)
+        object.__setattr__(self, "intervals", tuple(converted))
         object.__setattr__(self, "_slack", tolerance(his[-1]))
         boundary, signs = [], []
         for lo, hi in zip(los, his):
@@ -306,11 +320,13 @@ class ClosedIntervalSet:
         return self._signs[i - 1], a, b
 
     def contains(self, x: float) -> bool:
+        """Whether x lies in the set: the sign :meth:`locate` gives is not
+        -1.  False where locate raises ValidationError: outside the
+        tolerance of [0, sup], and for NaN."""
         try:
-            x = float(x)
-        except OverflowError:
-            raise _past_float("x") from None
-        return -self._slack <= x <= self.sup + self._slack and self.locate(x)[0] >= 0
+            return self.locate(x)[0] >= 0
+        except ValidationError:
+            return False
 
     def to_pairs(self) -> list[list[float]]:
         return [[iv.lo, iv.hi] for iv in self.intervals]

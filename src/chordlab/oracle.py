@@ -32,12 +32,6 @@ class ChordQueryResult:
     witness_x: float | None = None
     vertices: int = 0
 
-    @property
-    def witness_pair(self) -> tuple[float, float] | None:
-        if self.witness_x is None:
-            return None
-        return (self.witness_x, self.witness_x + self.s)
-
 
 def has_horizontal_chord(f: PiecewiseLinearFunction, s: float) -> ChordQueryResult:
     """Decide whether f(x + s) = f(x) for some x, exactly.

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .intervals import _number, _number_column, _number_pairs, _past_float, tolerance
+from .intervals import _number, _number_column, _past_float, tolerance
 
 _FIRST_BLOCK = 1024  # breakpoints of f in the first block of a shift difference
 
@@ -72,16 +72,6 @@ class PiecewiseLinearFunction:
         object.__setattr__(self, "xs", _read_only(xs))
         object.__setattr__(self, "ys", _read_only(ys))
 
-    @classmethod
-    def from_breakpoints(cls, points) -> "PiecewiseLinearFunction":
-        """The function through the [x, y] rows of ``points``: a boolean,
-        string or bytes where a number belongs is refused, and integers
-        are numbers."""
-        pts = _number_pairs(
-            points, "breakpoints", "breakpoints must be an (n, 2) array of [x, y] rows"
-        )
-        return cls._from_owned(pts[:, 0].copy(), pts[:, 1].copy())
-
     @property
     def x_min(self) -> float:
         return float(self.xs[0])
@@ -93,9 +83,6 @@ class PiecewiseLinearFunction:
     @property
     def width(self) -> float:
         return self.x_max - self.x_min
-
-    def breakpoints(self) -> np.ndarray:
-        return np.column_stack([self.xs, self.ys])
 
     def __call__(self, x):
         try:

@@ -78,8 +78,7 @@ class RaceProfile:
     @classmethod
     def constant(cls, total_distance: float, total_time: float) -> "RaceProfile":
         """Perfectly even pacing: one split, (L, T)."""
-        L, T = _totals(total_distance, total_time)
-        return cls.from_splits(L, T, [(L, T)])
+        return cls.from_splits(total_distance, total_time, [(total_distance, total_time)])
 
     @classmethod
     def from_splits(
@@ -94,7 +93,7 @@ class RaceProfile:
         """
         L, T = _totals(total_distance, total_time)
         pts = _number_pairs(
-            splits, "splits", "each split must be a (distance, time) pair of numbers, got {row!r}"
+            splits, "splits", "each split must be a (distance, time) pair of numbers, got {row}"
         )
         # the first and last splits are compared as Python floats, which
         # is cheaper than numpy scalar arithmetic

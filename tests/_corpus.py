@@ -274,8 +274,8 @@ def reference_hopf(s: ClosedIntervalSet) -> PiecewiseLinearFunction:
     points = []
     for iv in s.intervals:
         points.append((iv.lo, 0.0))
-        if not iv.degenerate:
-            points.append((0.5 * (iv.lo + iv.hi), 0.5 * iv.length))
+        if iv.hi != iv.lo:
+            points.append((0.5 * (iv.lo + iv.hi), 0.5 * (iv.hi - iv.lo)))
             points.append((iv.hi, 0.0))
     for glo, ghi in s.gaps:
         points.append((0.5 * (glo + ghi), -0.5 * (ghi - glo)))

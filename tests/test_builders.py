@@ -247,6 +247,23 @@ class TestSmoothChordFunction:
         with pytest.raises(ValueError, match="at least 2"):
             smooth_chord_function(sawtooth_set).sample(1)
 
+    @pytest.mark.parametrize(
+        "n, message",
+        [
+            (1.5, "need at least 2 sample points, got 1.5"),
+            (2.5, "the sample count must be a whole number, got 2.5"),
+            (float("inf"), "the sample count must be a whole number, got inf"),
+            (float("nan"), "the sample count must be a whole number, got nan"),
+        ],
+    )
+    def test_sample_count_is_a_whole_number(self, sawtooth_set, n, message):
+        sf = smooth_chord_function(sawtooth_set)
+        for call in (sf.sample, sf.to_piecewise):
+            with pytest.raises(ValueError) as info:
+                call(n)
+            assert str(info.value) == message
+        assert sf.sample(3.0)[0].tolist() == sf.sample(np.int64(3))[0].tolist() == [0.0, 2.2, 4.4]
+
 
 class TestBuildLevy:
     def test_triangle_golden(self):

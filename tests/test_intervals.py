@@ -1,4 +1,5 @@
 import inspect
+import math
 import time
 from decimal import Decimal
 
@@ -40,6 +41,7 @@ from _corpus import (
     SAWTOOTH_PAIRS,
     interval_layouts,
     near_additive_family,
+    random_chord_set,
     reference_is_additive,
     reference_locator,
 )
@@ -53,15 +55,11 @@ def sawtooth():
 class TestInterval:
     def test_basic(self):
         iv = Interval(1.0, 2.5)
-        assert iv.length == 1.5
-        assert not iv.degenerate
-        assert iv.contains(2.5)
-        assert not iv.contains(2.6)
+        assert (iv.lo, iv.hi) == (1.0, 2.5)
 
     def test_degenerate_point(self):
         iv = Interval(4.4, 4.4)
-        assert iv.degenerate
-        assert iv.length == 0.0
+        assert iv.lo == iv.hi == 4.4
 
     def test_rejects_reversed(self):
         with pytest.raises(ValidationError, match="reversed"):
@@ -88,7 +86,7 @@ class TestClosedIntervalSet:
         assert sawtooth.sup == 4.4
         assert sawtooth.gap_infimum == 0.9
         assert len(sawtooth.intervals) == 5
-        assert sawtooth.intervals[-1].degenerate
+        assert sawtooth.intervals[-1].lo == sawtooth.intervals[-1].hi == 4.4
         assert sawtooth.boundary == (0.0, 0.9, 1.1, 1.8, 2.2, 2.7, 3.3, 3.6, 4.4)
 
     def test_locate_signs(self, sawtooth):
@@ -301,6 +299,21 @@ def test_locate_matches_brute_force(pairs, fracs):
         assert s.contains(x) == (want is not None and want[0] >= 0), x
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_contains_is_the_sign_locate_gives(seed):
+    s = random_chord_set(np.random.default_rng(seed))
+    slack, b = tolerance(s.sup), s.boundary
+    points = [p + d for p in b for d in (-slack, 0.0, slack)] + [0.5 * (p + q) for p, q in zip(b, b[1:])]
+    for x in points:
+        assert s.contains(x) == (s.locate(x)[0] >= 0), x
+    # just outside [-slack, sup + slack], and NaN, locate raises ValidationError
+    for x in (math.nextafter(-slack, -math.inf), math.nextafter(s.sup + slack, math.inf), math.nan):
+        assert not s.contains(x), x
+    with pytest.raises(ValueError, match='^"x" must hold numbers, got a number past the largest float$'):
+        s.contains(10**400)
+
+
 @st.composite
 def additivity_layouts(draw):
     """Sets on which the gap search has edge cases: gaps narrower than the
@@ -396,13 +409,22 @@ _GATED = [
     ("x_min", lambda v: SmoothFunction(np.sin, v, 1.0)),
     ("x_max", lambda v: SmoothFunction(np.sin, 0.0, v)),
 ]
+_SMOOTH = SmoothFunction(np.sin, 0.0, 1.0)
+# parametrized after the entries above (and after _READERS below), so that
+# those keep the indices in their test ids
+_SAMPLE_COUNTS = [
+    ("n", lambda v: _SMOOTH.sample(v)),
+    ("n", lambda v: _SMOOTH.to_piecewise(v)),
+]
 
 
 @pytest.mark.parametrize(
     "value", [True, np.True_, "1", b"1", None], ids=["bool", "numpy-bool", "str", "bytes", "None"]
 )
 @pytest.mark.parametrize(
-    "key, call", _GATED, ids=[f"{i}-{key}" for i, (key, _) in enumerate(_GATED)]
+    "key, call",
+    _GATED + _SAMPLE_COUNTS,
+    ids=[f"{i}-{key}" for i, (key, _) in enumerate(_GATED + _SAMPLE_COUNTS)],
 )
 def test_every_scalar_parameter_keeps_the_number_rule(key, call, value):
     # float() reads the first four as numbers and raises TypeError for None
@@ -417,7 +439,7 @@ _PAST_FLOAT = "a number past the largest float"
 # for an integer that float() overflows on
 _READERS = [
     ("xs", lambda v: PiecewiseLinearFunction([0, v], [0, 1])),
-    ("breakpoints", lambda v: PiecewiseLinearFunction.from_breakpoints([[0, 0], [v, 1]])),
+    ("breakpoints", lambda v: parse_function({"breakpoints": [[0, 0], [v, 1]]})),
     ("splits", lambda v: RaceProfile.from_splits(3, 10, [[v, 10]])),
     ("samples", lambda v: parse_function({"samples": [[0, 0], [1, v]]})),
     ("splits", lambda v: parse_profile({"total_distance": 3, "total_time": 10, "splits": [[3, v]]})),
@@ -428,7 +450,9 @@ _READERS = [
 
 @pytest.mark.parametrize("value", [10**400, 10**5000], ids=["400-digits", "5000-digits"])
 @pytest.mark.parametrize(
-    "key, call", _GATED + _READERS, ids=[f"{i}-{key}" for i, (key, _) in enumerate(_GATED + _READERS)]
+    "key, call",
+    _GATED + _READERS + _SAMPLE_COUNTS,
+    ids=[f"{i}-{key}" for i, (key, _) in enumerate(_GATED + _READERS + _SAMPLE_COUNTS)],
 )
 def test_an_integer_past_the_float_range_is_one_short_error(key, call, value):
     # float() raises OverflowError for it, and its repr runs to hundreds of
@@ -475,6 +499,38 @@ def test_a_column_reads_decimals_and_numeric_arrays():
         PiecewiseLinearFunction([0, 1], np.array([0, None], dtype=object))
 
 
+# every reader of rows, as a function of the rows
+_ROW_READERS = {
+    "from_splits": lambda rows: RaceProfile.from_splits(3, 10, rows).position,
+    "parse_profile": lambda rows: parse_profile(
+        {"total_distance": 3, "total_time": 10, "splits": rows}
+    ).position,
+    "breakpoints": lambda rows: parse_function({"breakpoints": rows}),
+    "samples": lambda rows: parse_function({"samples": rows}),
+}
+
+
+@pytest.mark.parametrize("read", _ROW_READERS.values(), ids=_ROW_READERS.keys())
+def test_rows_read_decimals(read):
+    got = read([[Decimal("1.5"), 5], [3, Decimal(10)]])
+    want = read([[1.5, 5.0], [3.0, 10.0]])
+    assert got.xs.tolist() == want.xs.tolist() and got.ys.tolist() == want.ys.tolist()
+
+
+@pytest.mark.parametrize(
+    "rows, shown",
+    [([[10**300, 1, 2]], "[1e+300, 1, 2]"), ([iter((3, 10)) for _ in range(1999)], "a tuple_iterator")],
+    ids=["past-1e300", "iterators"],
+)
+def test_a_malformed_row_is_named_in_one_short_line(rows, shown):
+    # the row's repr would hold 301 digits, or the whole table's object addresses
+    with pytest.raises(ValueError) as info:
+        RaceProfile.from_splits(3, 10, rows)
+    message = str(info.value)
+    assert message == f"each split must be a (distance, time) pair of numbers, got {shown}"
+    assert len(message) <= 200 and "\n" not in message
+
+
 _SET = ClosedIntervalSet.from_pairs([[0, 1]])
 
 # every point evaluation, each of which reads its points with a bare
@@ -503,7 +559,7 @@ def test_a_point_past_the_float_range_is_one_short_error(call, value):
 # every reader of rows, with a malformed row
 _ROW_CALLS = [
     ("splits", lambda row: RaceProfile.from_splits(3, 10, [row])),
-    ("breakpoints", lambda row: PiecewiseLinearFunction.from_breakpoints([row])),
+    ("breakpoints", lambda row: parse_function({"breakpoints": [row]})),
     ("samples", lambda row: parse_function({"samples": [row]})),
     ("splits", lambda row: parse_profile({"total_distance": 3, "total_time": 10, "splits": [row]})),
 ]

@@ -99,13 +99,18 @@ class TestFunctionJson:
             parse_function({"breakpoints": []})
         with pytest.raises(ValueError, match=r"\[x, y\]"):
             parse_function({"breakpoints": [[0, 1, 2]]})
+        # rows that are numbers, and rows without a length
+        for rows in ([0, 1, 2], [iter((0, 0)), iter((1, 1))]):
+            with pytest.raises(ValueError, match=r'^"breakpoints" must be a list of \[x, y\] pairs$'):
+                parse_function({"breakpoints": rows})
         with pytest.raises(ValueError, match="JSON object"):
             parse_function([1, 2])
 
     @pytest.mark.parametrize("key", ["breakpoints", "samples"])
     def test_booleans_and_strings_refused(self, key):
+        # the first row refused is named, though a later one is refused too
         for rows, shown in (([[0, 0], [1, True]], "True"), ([[0, 0], ["1", 2]], "'1'"),
-                            ([[0, 0], "12"], "'12'")):
+                            ([[0, 0], "12"], "'12'"), ([[0, True], ["1", "2"], [2, 0]], "True")):
             with pytest.raises(ValueError, match=rf'^"{key}" must hold numbers, got {shown}$'):
                 parse_function({key: rows})
         f = parse_function({key: [[0, 0], [1, 2]]})  # JSON integers are numbers

@@ -50,7 +50,6 @@ class TestHasHorizontalChord:
         res = has_horizontal_chord(sawtooth_fn, 1.0)
         assert not res.exists
         assert res.witness_x is None
-        assert res.witness_pair is None
 
     def test_present_with_witness(self, sawtooth_fn):
         res = has_horizontal_chord(sawtooth_fn, 0.5)
@@ -58,7 +57,7 @@ class TestHasHorizontalChord:
         x = res.witness_x
         assert x == pytest.approx(0.2, abs=1e-12)
         assert sawtooth_fn(x + 0.5) == pytest.approx(sawtooth_fn(x), abs=1e-9)
-        assert res.witness_pair == (x, x + 0.5)
+        assert res.s == 0.5  # the chord is [witness_x, witness_x + s]
 
     def test_witness_values_match_for_many_lengths(self, sawtooth_fn):
         for s in (0.3, 0.9, 1.1, 1.8, 2.2, 2.7, 3.3, 3.6):
@@ -91,17 +90,17 @@ class TestHasHorizontalChord:
         )
 
     @pytest.mark.parametrize(
-        "points, s, root",
+        "xs, ys, s, root",
         [
             # g(0) = 1.5e308 and g(1) = -1.5e308: y1 - y0 overflows
-            ([[0, 0], [1, 1.5e308], [2, 0], [3, 1.5e308]], 1.0, 0.5),
+            ([0, 1, 2, 3], [0, 1.5e308, 0, 1.5e308], 1.0, 0.5),
             # g(0) = 1e308 and g(2) = -5e307: y0 * (x1 - x0) overflows
-            ([[0, 0], [2, 1e308], [6, 0]], 2.0, 4.0 / 3.0),
+            ([0, 2, 6], [0, 1e308, 0], 2.0, 4.0 / 3.0),
         ],
         ids=["difference", "product"],
     )
-    def test_witness_between_values_far_apart(self, points, s, root):
-        res = has_horizontal_chord(PiecewiseLinearFunction.from_breakpoints(points), s)
+    def test_witness_between_values_far_apart(self, xs, ys, s, root):
+        res = has_horizontal_chord(PiecewiseLinearFunction(xs, ys), s)
         assert res.exists
         assert res.witness_x == pytest.approx(root, rel=1e-15)
 
@@ -158,7 +157,7 @@ class TestHasHorizontalChord:
 def test_values_spanning_past_the_largest_float_are_refused(query):
     # g(1) = f(2) - f(1) would overflow to -inf, and the root between
     # g(0) = 1e308 and g(1) would come out as 0.0 instead of 1/3
-    f = PiecewiseLinearFunction.from_breakpoints([[0, 0], [1, 1e308], [2, -1e308], [3, 0]])
+    f = PiecewiseLinearFunction([0, 1, 2, 3], [0, 1e308, -1e308, 0])
     with pytest.raises(ValueError) as info:
         query(f)
     assert str(info.value) == (
@@ -693,15 +692,15 @@ def test_flat_runs_of_the_smooth_sawtooth_are_merged(monkeypatch):
 
 
 def test_only_chord_set_builds_a_set(monkeypatch, sawtooth_fn):
-    # every set is indexed once as it is built, however its intervals
-    # are made, so counting the index calls counts the sets
-    built, index = [], ClosedIntervalSet._index
+    # every set is checked once as it is built, however its intervals
+    # are made, so counting the constructor's checks counts the sets
+    built, check = [], ClosedIntervalSet.__post_init__
 
-    def counted(self, *args):
+    def counted(self):
         built.append(self)
-        index(self, *args)
+        check(self)
 
-    monkeypatch.setattr(ClosedIntervalSet, "_index", counted)
+    monkeypatch.setattr(ClosedIntervalSet, "__post_init__", counted)
     chord_set_scan(sawtooth_fn, sawtooth_fn.width / 500)
     assert built == []
     s = chord_set(sawtooth_fn)

@@ -34,27 +34,8 @@ def test_metadata():
     assert f.x_max == 2.0
     assert f.width == 2.0
     np.testing.assert_array_equal(f.slopes(), [1.0, -1.0])
-    bp = f.breakpoints()
-    assert bp.shape == (3, 2)
-
-
-def test_from_breakpoints():
-    f = PiecewiseLinearFunction.from_breakpoints([[0, 0], [1, 2]])
-    assert f(0.5) == 1.0
-    with pytest.raises(ValueError, match=r"\(n, 2\)"):
-        PiecewiseLinearFunction.from_breakpoints([0, 1, 2])
-    # rows without a length are read one by one
-    with pytest.raises(ValueError, match=r"^breakpoints must be an \(n, 2\) array of \[x, y\] rows$"):
-        PiecewiseLinearFunction.from_breakpoints([iter((0, 0)), iter((1, 1))])
-
-
-@pytest.mark.parametrize(
-    "points, shown",
-    [([[0, True], ["1", "2"], [2, 0]], "True"), ([[0, 0], ["1", 2]], "'1'"), ([[0, 0], "12"], "'12'")],
-)
-def test_from_breakpoints_refuses_booleans_and_strings(points, shown):
-    with pytest.raises(ValueError, match=rf'^"breakpoints" must hold numbers, got {shown}$'):
-        PiecewiseLinearFunction.from_breakpoints(points)
+    np.testing.assert_array_equal(f.xs, [0.0, 1.0, 2.0])
+    np.testing.assert_array_equal(f.ys, [0.0, 1.0, 0.0])
 
 
 @pytest.mark.parametrize(

@@ -3,9 +3,13 @@ queries, the Hopf construction (and its breakpoints to the tents it is
 made of), the additivity of the complement, the
 sign-change bound and JSON round trips; the validator's verdict to
 additivity alone; every answer to the units of its input; and a
-profile to the shape its splits come in."""
+profile to the shape its splits come in.  And a failing property is
+reported as one failure under the repository's pytest settings."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
@@ -222,3 +226,25 @@ def test_splits_read_alike_in_every_shape(seed):
     for pos in got:
         assert pos.xs.tobytes() == want.xs.tobytes()
         assert pos.ys.tobytes() == want.ys.tobytes()
+
+
+def test_a_failing_property_is_one_failure(tmp_path):
+    # Hypothesis's failure report imports libcst, whose DeprecationWarning
+    # the settings' "error" filter would turn into an INTERNALERROR that
+    # stops the run
+    (tmp_path / "test_fails.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 0\n\n\n"
+        "def test_passes():\n"
+        "    pass\n"
+    )
+    config = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(config),
+         "--rootdir", str(tmp_path), str(tmp_path / "test_fails.py")],
+        capture_output=True, text=True, cwd=tmp_path, timeout=120,
+    )
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1].startswith("1 failed, 1 passed in ")
