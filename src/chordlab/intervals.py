@@ -123,7 +123,8 @@ def _number_pairs(rows, key: str, malformed: str) -> np.ndarray:
     first row that is not a pair of numbers is refused by _number, when it
     or one of its values is a boolean, string, bytes or a number past the
     float range, or else with ``malformed`` formatted with ``key`` and that
-    ``row``, shown with each number as the float read."""
+    ``row``, shown with each number as the float read and with no more
+    than three values."""
     if isinstance(rows, np.ndarray) and rows.dtype.kind in "iuf" and rows.shape[1:] == (2,):
         return rows.astype(np.float64, copy=False)
     rows = rows if isinstance(rows, (list, tuple)) else list(rows)
@@ -151,8 +152,9 @@ def _number_pairs(rows, key: str, malformed: str) -> np.ndarray:
             continue
         if not iterable:
             shown = _shown(row, read[0])
-        elif isinstance(row, Sized):
-            shown = f"[{', '.join(map(_shown, items, read))}]"
+        elif isinstance(row, Sized):  # the first three values show it is no pair
+            values = list(map(_shown, items[:3], read)) + (["..."] if len(items) > 3 else [])
+            shown = f"[{', '.join(values)}]"
         else:  # an iterator, whose repr would hold its address
             shown = f"a {type(row).__name__}"
         raise ValueError(malformed.format(key=key, row=shown))

@@ -519,11 +519,16 @@ def test_rows_read_decimals(read):
 
 @pytest.mark.parametrize(
     "rows, shown",
-    [([[10**300, 1, 2]], "[1e+300, 1, 2]"), ([iter((3, 10)) for _ in range(1999)], "a tuple_iterator")],
-    ids=["past-1e300", "iterators"],
+    [
+        ([[10**300, 1, 2]], "[1e+300, 1, 2]"),
+        ([list(range(1000))], "[0, 1, 2, ...]"),
+        ([iter((3, 10)) for _ in range(1999)], "a tuple_iterator"),
+    ],
+    ids=["past-1e300", "long-row", "iterators"],
 )
 def test_a_malformed_row_is_named_in_one_short_line(rows, shown):
-    # the row's repr would hold 301 digits, or the whole table's object addresses
+    # the row's repr would hold 301 digits or 1000 numbers, or the whole
+    # table's object addresses
     with pytest.raises(ValueError) as info:
         RaceProfile.from_splits(3, 10, rows)
     message = str(info.value)
